@@ -5,7 +5,7 @@ The comparison constant C(R, n) and radius sweeps
 C(R, n) divides the best two-ball eigenvalue by the single-ball eigenvalue.
 C = 1 means the single ball is optimal; C < 1 measures how much an even
 split improves on it. The sweep tooling writes one canonical CSV row per
-(n, R) pair and never aborts on unsolvable radii.
+(n, R) pair and never aborts on a row whose solver fails.
 """
 
 from agplate.constants import c_constant, format_records, sweep
@@ -27,8 +27,8 @@ print("  status  =", record.status)
 print()
 
 # A small sweep, rendered in the canonical CSV schema (17 significant
-# digits, LF endings, one status column). Radii needing roots beyond the
-# scan ceiling come back as status rows with NaN numerics instead of
-# raising.
+# digits, LF endings, one status column). A row whose solver fails
+# (NoRootFound or NonConvergent) comes back as a status row with NaN
+# numerics instead of raising.
 records = sweep([2, 3], r_min=0.5, r_max=1.0, steps=4, grid_points=64)
 print(format_records(records))

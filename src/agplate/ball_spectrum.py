@@ -27,8 +27,15 @@ mixing coefficient G_R = -M_+(z)/M_-(z); M_- has no zeros at negative z,
 so G_R is always finite.
 
 Zeros are located by stepping lambda in fixed increments and refining each
-sign change with Brent's method.  The scan ceiling starts at 50 and doubles
-on exhaustion up to a hard cap, past which NoRootFound is raised.
+sign change with Brent's method.  The scan works in the scaled variable
+s = lambda R^2: for R < 1 the step, the starting ceiling (50) and the cap
+(6400) are all multiplied by 1/R^2, so the cost of a scan does not grow as
+the ball shrinks.  This follows the small-ball limit Lambda_1 ~ c_n / R^4
+of the Euclidean clamped plate (Ashbaugh & Benguria, Duke Math. J. 78
+(1995)): the fundamental root sits near s = sqrt(c_n), about 10.2 in the
+plane, at every small radius.  For R >= 1 the sampled lambda grid is the
+unscaled one.  A scan that finds no sign change below its cap raises
+NoRootFound.
 """
 
 from __future__ import annotations
@@ -116,6 +123,7 @@ def secular_h(n: int, l: int, R: float, lam: float) -> float:
 def scan_lowest_root(
     f: Callable[[float], float],
     *,
+    radius: float = 1.0,
     step: float = SCAN_STEP,
     ceiling: float = SCAN_CEILING,
     max_ceiling: float = SCAN_CEILING_MAX,
@@ -123,11 +131,19 @@ def scan_lowest_root(
 ) -> float:
     """Smallest root of f above reject_below, by fixed-step sign scanning.
 
-    f is sampled at step, 2*step, ... and each sign change is refined with
-    Brent's method.  When no change appears below the current ceiling the
-    ceiling doubles, up to max_ceiling; exhaustion raises NoRootFound.
-    Roots at or below reject_below are treated as spurious and skipped.
+    step, ceiling and max_ceiling are given in the scaled variable
+    lambda * radius^2 and are multiplied by max(1, 1/radius^2), so a ball
+    of radius below 1 is scanned with as many samples as the unit ball;
+    for radius >= 1 they are used as given.  f is sampled at step,
+    2*step, ... and each sign change is refined with Brent's method.
+    When no change appears below the current ceiling the ceiling doubles,
+    up to max_ceiling; exhaustion raises NoRootFound.  Roots at or below
+    reject_below are treated as spurious and skipped.
     """
+    if not radius > 0.0:
+        raise ValueError("scan radius must be positive")
+    scale = max(1.0, 1.0 / (radius * radius))
+    step, ceiling, max_ceiling = scale * step, scale * ceiling, scale * max_ceiling
     x = step
     fx = f(x)
     if fx == 0.0 and x > reject_below:
@@ -156,7 +172,7 @@ def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:
     _check_mode(n, l)
     if not (math.isfinite(R) and R >= MIN_RADIUS):
         raise ValueError(f"radius must be finite and at least {MIN_RADIUS}")
-    lam = scan_lowest_root(lambda t: secular_h(n, l, R, t))
+    lam = scan_lowest_root(lambda t: secular_h(n, l, R, t), radius=R)
     m_p, m_m, _, _ = secular_parts(n, l, R, lam)
     return SpectralMode(l=l, lam=lam, Lambda=lam * lam, G_R=-m_p / m_m)
 

@@ -166,7 +166,9 @@ def solve_jab(
     if lambda_hint is not None and lambda_hint > 0.0:
         lam = _scan_hint_window(f, lambda_hint)
     if lam is None:
-        lam = scan_lowest_root(f)
+        # mu(A, B) <= Lambda_1(max(A, B)), so the lowest root lies at or
+        # below the single-ball root of the larger radius
+        lam = scan_lowest_root(f, radius=max(A, B))
     return JabSolution(A=A, B=B, n=n, lam=lam, mu=lam * lam)
 
 

@@ -194,11 +194,6 @@ def _eval_raw(a: float, b: float, z: float) -> tuple[float, int, float, bool]:
     return value, terms, max_t, flag
 
 
-def _m_value(a: float, b: float, z: float) -> float:
-    """Fast path for root scans: value only, same algorithm and repairs."""
-    return _eval_raw(a, b, z)[0]
-
-
 def eval_m(p: KummerParams, z: float) -> EvalResult:
     """Evaluate M(p.a, p.b, z).
 

@@ -74,7 +74,9 @@ def phi_inverse(n: int, v: float) -> float:
     """Radius R with Phi(n, R) = v, for v >= 0.
 
     Bracketed Newton with bisection fallback; the bracket upper end doubles
-    until it encloses v. Terminates when |Phi(R) - v| <= INVERT_TOL * max(1, v).
+    until it encloses v. Terminates when |Phi(R) - v| <= INVERT_TOL * v, a
+    relative test, so volumes far below 1 (Phi ~ R^n at R near MIN_RADIUS)
+    still invert to full accuracy.
     """
     _check_dim(n)
     if not math.isfinite(v) or v < 0.0:
@@ -94,7 +96,7 @@ def phi_inverse(n: int, v: float) -> float:
         if doublings > 60:
             raise ValueError("target volume too large to bracket")
 
-    tol = INVERT_TOL * max(1.0, v)
+    tol = INVERT_TOL * v
     r = 0.5 * (lo + hi)
     for _ in range(200):
         f = phi_volume(n, r) - v

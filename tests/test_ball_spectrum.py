@@ -1,11 +1,13 @@
 """Tests for the secular function and the clamped ball eigenvalues."""
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from agplate import ball_spectrum
 from agplate.ball_spectrum import (
     MIN_RADIUS,
     SpectralMode,
@@ -14,7 +16,7 @@ from agplate.ball_spectrum import (
     lowest_eigenvalue,
     secular_h,
 )
-from agplate.errors import NoRootFound
+from agplate.fd_oracle import FdProblem, fd_lowest_eigenvalue
 from refvalues import FROZEN_DISK_EIGENVALUE, FROZEN_LAMBDA1
 
 RNG_SEED = 20260816
@@ -156,9 +158,40 @@ def test_profile_vanishes_at_origin_for_positive_degree():
     assert abs(profile.values[-1]) <= 1e-8 * scale
 
 
-def test_no_root_below_scan_ceiling():
-    with pytest.raises(NoRootFound):
-        lowest_eigenvalue(2, 0, MIN_RADIUS)
+def test_lowest_root_at_min_radius():
+    # the root lambda ~ 10.2 / R^2 lies far above the unit ball's scan range
+    mode = lowest_eigenvalue(2, 0, MIN_RADIUS)
+    delta = 1e-9 * mode.lam
+    left = secular_h(2, 0, MIN_RADIUS, mode.lam - delta)
+    right = secular_h(2, 0, MIN_RADIUS, mode.lam + delta)
+    assert left * right < 0.0
+    # the drift is negligible here: Lambda_1 R^4 is the flat plate constant
+    scaled = mode.Lambda * MIN_RADIUS**4
+    assert scaled == pytest.approx(FROZEN_DISK_EIGENVALUE, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_small_radii_match_mesh_oracle(n):
+    for l, R in itertools.product((0, 1, 2), (1e-3, 0.01, 0.05)):
+        exact = lowest_eigenvalue(n, l, R).Lambda
+        mesh = fd_lowest_eigenvalue(FdProblem(n, l, R, 4000))
+        assert exact == pytest.approx(mesh, rel=2e-6), (n, l, R)
+
+
+def test_scan_work_does_not_grow_as_radius_shrinks(monkeypatch):
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return secular_h(*args)
+
+    monkeypatch.setattr(ball_spectrum, "secular_h", counted)
+    for n, l in itertools.product(range(2, 6), range(3)):
+        for R in np.geomspace(MIN_RADIUS, 1.0, 7):
+            calls = 0
+            lowest_eigenvalue(n, l, float(R))
+            assert 0 < calls <= 300, (n, l, R, calls)
 
 
 def test_validation_errors():

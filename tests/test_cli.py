@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from agplate import cli
 from agplate.cli import main
 from agplate.constants import CSV_HEADER
+from agplate.errors import NoRootFound
 
 
 def run_json(capsys, argv):
@@ -28,8 +30,12 @@ def test_eig_rejects_bad_dimension(capsys):
     assert "agplate:" in capsys.readouterr().err
 
 
-def test_eig_reports_missing_root(capsys):
-    assert main(["eig", "--n", "2", "--R", "0.001"]) == 3
+def test_eig_reports_missing_root(capsys, monkeypatch):
+    def no_root(n, l, R):
+        raise NoRootFound("no sign change found")
+
+    monkeypatch.setattr(cli, "lowest_eigenvalue", no_root)
+    assert main(["eig", "--n", "2", "--R", "1.0"]) == 3
     assert "agplate:" in capsys.readouterr().err
 
 

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from agplate import constants
+from agplate.ball_spectrum import MIN_RADIUS, lowest_eigenvalue
 from agplate.constants import (
     CSV_HEADER,
     STATUS_NO_ROOT,
@@ -16,6 +18,11 @@ from agplate.constants import (
     sweep_radii,
     write_csv,
 )
+from agplate.errors import NoRootFound
+
+
+def _no_root(n, l, R):
+    raise NoRootFound("no sign change found")
 
 
 def test_unit_ball_in_the_plane_is_the_tie_case():
@@ -75,13 +82,29 @@ def test_small_sweep_order_and_status():
     assert all(r.status == STATUS_OK for r in records)
 
 
-def test_sweep_survives_unsolvable_radii():
-    # radii this small need roots beyond the scan ceiling
-    records = sweep([2], 1e-3, 0.0126, 2)
-    assert len(records) == 2
-    for r in records:
-        assert r.status == STATUS_NO_ROOT
-        assert math.isnan(r.C) and math.isnan(r.Lambda1)
+def test_sweep_survives_unsolvable_radii(monkeypatch):
+    unsolvable = sweep_radii(0.5, 1.0, 2)[0]
+
+    def fail_at_one_radius(n, l, R):
+        if R == unsolvable:
+            raise NoRootFound("no sign change found")
+        return lowest_eigenvalue(n, l, R)
+
+    monkeypatch.setattr(constants, "lowest_eigenvalue", fail_at_one_radius)
+    records = sweep([2], 0.5, 1.0, 2, grid_points=32)
+    assert [r.status for r in records] == [STATUS_NO_ROOT, STATUS_OK]
+    failed = records[0]
+    assert failed.R == unsolvable
+    assert math.isnan(failed.C) and math.isnan(failed.Lambda1)
+    assert records[1].C <= 1.0 + 1e-8
+
+
+def test_c_constant_at_min_radius():
+    for n in (2, 3, 4, 5):
+        record = c_constant(n, MIN_RADIUS)
+        assert record.status == STATUS_OK
+        assert 0.0 < record.C <= 1.0 + 1e-8, (n, record.C)
+        assert record.B_min <= MIN_RADIUS
 
 
 def test_sweep_rejects_empty_dimension_list():
@@ -106,8 +129,9 @@ def test_csv_round_trip_and_determinism(tmp_path):
     assert loaded == records
 
 
-def test_csv_round_trip_keeps_nan_rows(tmp_path):
-    records = sweep([2], 1e-3, 0.0126, 2)
+def test_csv_round_trip_keeps_nan_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(constants, "lowest_eigenvalue", _no_root)
+    records = sweep([2], 0.5, 1.0, 2)
     path = tmp_path / "failed.csv"
     write_csv(records, path)
     loaded = read_csv(path)

@@ -105,7 +105,10 @@ def test_half_mass_closed_form_plane():
 
 
 def test_half_mass_splits_mass():
-    for n, R in [(2, 1.0), (3, 0.8), (4, 2.0), (5, 0.5)]:
+    # R = 1e-3 (the smallest radius the solvers accept) has Phi ~ R^n << 1
+    cases = [(2, 1.0), (3, 0.8), (4, 2.0), (5, 0.5)]
+    cases += [(n, 1e-3) for n in (2, 3, 4, 5)]
+    for n, R in cases:
         a_star = half_mass_radius(n, R)
         assert 0.0 < a_star < R
         assert 2.0 * phi_volume(n, a_star) == pytest.approx(
