@@ -27,9 +27,10 @@ B-ball.  F is symmetric under swapping (A, B) and odd in lambda.
 
 minimize_jab scans mu over the volume-constrained family: A runs over a
 uniform grid from 0 to the half-mass radius A*(R) and B is the complement
-radius, so the pair always fills the weighted volume of the R-ball.  The
-scan is warm-started point to point (each root seeds a bracket hunt in a
-window around its predecessor) and the best grid cell is polished by
+radius, so the pair always fills the weighted volume of the R-ball.  Each grid
+point's solve is warm-started from its predecessor's root: a narrow bracket
+around that hint, sign checks that no root lies below the bracket, and a
+Brent refinement (see solve_jab).  The best grid cell is polished by
 golden-section refinement.
 """
 
@@ -41,12 +42,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .ball_spectrum import scan_lowest_root, secular_parts
+from .ball_spectrum import (
+    ROOT_RTOL,
+    ROOT_XTOL,
+    scan_lowest_root,
+    secular_h,
+    secular_parts,
+)
 from .measure import complement_radius, half_mass_radius
 
 GRID_POINTS = 200
-HINT_WINDOW = (0.75, 1.25)
-HINT_SUBSTEPS = 32
+# relative half-width of the first warm-start bracket, and the widest one
+# tried before the cold scan; each failed try widens by HINT_WIDEN
+HINT_WINDOW = (2e-3, 0.25)
+HINT_WIDEN = 4.0
 REFINE_XTOL = 1e-8
 ENDPOINT_TIE_REL = 1e-9
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -130,22 +139,46 @@ def jab_condition(n: int, A: float, B: float, lam: float) -> float:
     )
 
 
-def _scan_hint_window(f, hint: float) -> float | None:
-    """Smallest root of f inside the warm-start window, or None."""
-    lo = HINT_WINDOW[0] * hint
-    hi = HINT_WINDOW[1] * hint
-    xs = np.linspace(lo, hi, HINT_SUBSTEPS + 1)
-    fx = f(xs[0])
-    if fx == 0.0:
-        return float(xs[0])
-    for x, xn in zip(xs[:-1], xs[1:]):
-        fn = f(xn)
-        if fn == 0.0:
-            return float(xn)
-        if fx != 0.0 and (fx < 0.0) != (fn < 0.0):
-            return float(brentq(f, x, xn, xtol=1e-14, rtol=1e-11))
-        fx = fn
-    return None
+def _hint_bracket(f, hint: float) -> tuple[float, float] | None:
+    """Lowest sign change of f among samples widening out from hint, or None.
+
+    f is sampled at hint * (1 -/+ w) for w = HINT_WINDOW[0], then w times
+    HINT_WIDEN, ..., up to HINT_WINDOW[1].  The first width whose samples
+    change sign gives the bracket, between the lowest pair of neighbouring
+    samples that differ in sign.  A sample that is exactly zero gives None,
+    which leaves that case to the cold scan.
+    """
+    width, cap = HINT_WINDOW
+    samples: list[tuple[float, float]] = []
+    while True:
+        width = min(width, cap)
+        for x in (hint * (1.0 - width), hint * (1.0 + width)):
+            fx = f(x)
+            if fx == 0.0:
+                return None
+            samples.append((x, fx))
+        samples.sort()
+        for (x, fx), (xn, fn) in zip(samples, samples[1:]):
+            if (fx < 0.0) != (fn < 0.0):
+                return x, xn
+        if width >= cap:
+            return None
+        width *= HINT_WIDEN
+
+
+def _no_root_below(f, n: int, lo: float, radius: float) -> bool:
+    """Whether the pair condition f has no root in (0, lo].
+
+    F and every single-ball h are positive just above lambda = 0: there
+    h_X ~ (lambda / b) M(1, b + 1, -X^2/2) > 0 and M_+ M_- ~ 1.  So F(lo) > 0
+    leaves an even number of roots below lo, and h(lo) > 0 for the larger
+    ball leaves an even number of its clamped roots below lo.  The pair's
+    second root lies at or above the larger ball's lowest clamped root
+    (fixing the matched slope to 0 is one linear constraint, and it leaves
+    the two balls clamped), so while lo is below that ball's second root
+    both checks together leave no root of F below lo.
+    """
+    return f(lo) > 0.0 and secular_h(n, 0, radius, lo) > 0.0
 
 
 def solve_jab(
@@ -153,22 +186,37 @@ def solve_jab(
 ) -> JabSolution:
     """Smallest positive root of the pair condition, as a JabSolution.
 
-    When lambda_hint is given (warm start along a continuation path), a
-    bracket is first hunted in a window around the hint; if that window
-    holds no sign change the search falls back to the full upward scan.
+    Without a hint the root comes from the cold upward scan.  With
+    lambda_hint (a warm start along a continuation path), F is sampled at
+    hint * (1 -/+ 2e-3), and the bracket widens by HINT_WIDEN until the
+    samples change sign.  The lower end lo of the lowest bracket must then
+    pass two sign checks: F(lo) > 0 (an even number of roots below lo) and
+    h(lo) > 0 for the larger ball (lo below its lowest clamped root, which
+    bounds the pair's second root from below).  Brent refines a bracket
+    that passes.  The cold scan takes over when no bracket appears within
+    hint * (1 -/+ 0.25) and when a check fails.  Each F value is computed
+    once per solve, so Brent's and the cold scan's repeated evaluations of
+    a point cost nothing.
     """
     _check_dim(n)
+    memo: dict[float, float] = {}
 
     def f(lam: float) -> float:
-        return jab_condition(n, A, B, lam)
+        value = memo.get(lam)
+        if value is None:
+            value = memo[lam] = jab_condition(n, A, B, lam)
+        return value
 
+    # mu(A, B) <= Lambda_1(max(A, B)), so the lowest root lies at or below
+    # the single-ball root of the larger radius
+    radius = max(A, B)
     lam = None
     if lambda_hint is not None and lambda_hint > 0.0:
-        lam = _scan_hint_window(f, lambda_hint)
+        bracket = _hint_bracket(f, lambda_hint)
+        if bracket is not None and _no_root_below(f, n, bracket[0], radius):
+            lam = float(brentq(f, *bracket, xtol=ROOT_XTOL, rtol=ROOT_RTOL))
     if lam is None:
-        # mu(A, B) <= Lambda_1(max(A, B)), so the lowest root lies at or
-        # below the single-ball root of the larger radius
-        lam = scan_lowest_root(f, radius=max(A, B))
+        lam = scan_lowest_root(f, radius=radius)
     return JabSolution(A=A, B=B, n=n, lam=lam, mu=lam * lam)
 
 

@@ -74,9 +74,12 @@ def phi_inverse(n: int, v: float) -> float:
     """Radius R with Phi(n, R) = v, for v >= 0.
 
     Bracketed Newton with bisection fallback; the bracket upper end doubles
-    until it encloses v. Terminates when |Phi(R) - v| <= INVERT_TOL * v, a
-    relative test, so volumes far below 1 (Phi ~ R^n at R near MIN_RADIUS)
-    still invert to full accuracy.
+    until it encloses v. Newton starts at the smaller of the bracket midpoint
+    and the upper bound (n v / beta_n)^(1/n) on the root, so tiny volumes
+    take a few steps instead of shrinking r by (1 - 1/n) per step.
+    Terminates when |Phi(R) - v| <= INVERT_TOL * v, a relative test, so
+    volumes far below 1 (Phi ~ R^n at R near MIN_RADIUS) still invert to
+    full accuracy.
     """
     _check_dim(n)
     if not math.isfinite(v) or v < 0.0:
@@ -97,7 +100,9 @@ def phi_inverse(n: int, v: float) -> float:
             raise ValueError("target volume too large to bracket")
 
     tol = INVERT_TOL * v
-    r = 0.5 * (lo + hi)
+    # Phi(r) >= beta_n r^n / n, so the root lies at or below this bound, and
+    # Phi is convex, so Newton from above descends onto the root
+    r = min((n * v / unit_sphere_area(n)) ** (1.0 / n), 0.5 * (lo + hi))
     for _ in range(200):
         f = phi_volume(n, r) - v
         if abs(f) <= tol:

@@ -1,10 +1,15 @@
 """Tests for the coupled pair condition and its constrained minimum."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from agplate import jab_solver
 from agplate.ball_spectrum import lowest_eigenvalue, secular_h
 from agplate.jab_solver import (
     JabSolution,
@@ -12,7 +17,7 @@ from agplate.jab_solver import (
     minimize_jab,
     solve_jab,
 )
-from agplate.measure import half_mass_radius, phi_volume
+from agplate.measure import complement_radius, half_mass_radius, phi_volume
 
 RNG_SEED = 20260816
 
@@ -98,6 +103,59 @@ def test_warm_start_agrees_with_cold_start():
     # a hint far from any root must not break the fallback scan
     off = solve_jab(3, 0.4, 0.7, lambda_hint=1e-4)
     assert off.lam == pytest.approx(cold.lam, rel=1e-10)
+
+
+def test_hint_at_second_root_returns_lowest_root():
+    cold = solve_jab(3, 0.4, 0.7)
+    assert cold.lam == pytest.approx(29.7999191258, rel=1e-10)
+    # a hint at the second root (near 67.219) brackets it; the sign checks
+    # at the bracket's lower end see the lowest root below it
+    second = brentq(
+        lambda lam: jab_condition(3, 0.4, 0.7, lam), 60.0, 70.0, xtol=1e-14
+    )
+    assert second == pytest.approx(67.219, rel=1e-4)
+    warm = solve_jab(3, 0.4, 0.7, lambda_hint=second)
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "factor, cold_scans", [(1.0, 0), (1.05, 0), (0.85, 0), (0.5, 1), (2.0, 1)]
+)
+def test_warm_start_widens_before_falling_back(factor, cold_scans):
+    # 5% and 15% off need the widened brackets; 0.5 and 2 need the cold scan
+    cold = solve_jab(3, 0.4, 0.7)
+    with mock.patch.object(
+        jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
+    ) as scan:
+        warm = solve_jab(3, 0.4, 0.7, lambda_hint=factor * cold.lam)
+    assert scan.call_count == cold_scans
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-10)
+
+
+@st.composite
+def _hinted_pairs(draw):
+    n = draw(st.integers(2, 5))
+    R = draw(st.floats(0.05, 3.0))
+    A = draw(st.floats(0.0, 1.0)) * half_mass_radius(n, R)
+    factor = draw(st.floats(0.5, 2.0))
+    return n, R, A, factor
+
+
+# the examples pin three paths: at the equal split two roots lie below the
+# bracket around the third, so F alone passes and the ball check sends the
+# solve to the cold scan; the widest bracket holds no root; the bracket
+# needs widening
+@settings(deadline=None)
+@given(_hinted_pairs())
+@example((3, 3.0, 2.794853262264966, 2.0))
+@example((2, 0.05, 0.0, 0.5))
+@example((5, 3.0, 0.0, 1.01))
+def test_hinted_root_matches_cold_root(case):
+    n, R, A, factor = case
+    B = complement_radius(n, R, A)
+    cold = solve_jab(n, A, B)
+    warm = solve_jab(n, A, B, lambda_hint=factor * cold.lam)
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-9)
 
 
 def test_condition_validation():

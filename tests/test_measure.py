@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from agplate import measure
 from agplate.measure import (
     INVERT_TOL,
     BallSpec,
@@ -88,6 +89,30 @@ def test_phi_inverse_round_trip(n):
         dphi = unit_sphere_area(n) * math.exp(0.5 * R * R) * R ** (n - 1)
         tol_r = 4.0 * INVERT_TOL * max(1.0, v) / dphi + 1e-13 * R
         assert abs(recovered - R) <= tol_r, (n, R, recovered)
+
+
+def test_phi_inverse_round_trip_at_tiny_volume():
+    # Phi(40, 1e-3) ~ 1e-120; a start at the bracket midpoint ran out of steps
+    v = phi_volume(40, 1e-3)
+    assert phi_inverse(40, v) == pytest.approx(1e-3, rel=1e-12)
+
+
+def test_phi_inverse_is_cheap_at_small_radii(monkeypatch):
+    volume = measure.phi_volume
+    calls = []
+
+    def counted(n, R):
+        calls.append(R)
+        return volume(n, R)
+
+    monkeypatch.setattr(measure, "phi_volume", counted)
+    for n in (2, 3, 4, 5):
+        for R in (1e-3, 0.01, 0.1):
+            v = volume(n, R)
+            calls.clear()
+            assert phi_inverse(n, v) == pytest.approx(R, rel=1e-12)
+            # one call brackets, the rest are Newton steps from above
+            assert len(calls) <= 6, (n, R, len(calls))
 
 
 def test_phi_inverse_zero_and_rejects():
