@@ -12,7 +12,6 @@ The pipeline, bottom to top:
 """
 
 from .ball_spectrum import (
-    RadialProfile,
     SpectralMode,
     eigenfunction_profile,
     eigenvalue_curve,
@@ -37,22 +36,18 @@ from .fd_oracle import (
 )
 from .jab_solver import (
     JabSolution,
-    MinJabRecord,
     jab_condition,
     minimize_jab,
     solve_jab,
 )
 from .kummer import (
-    EvalResult,
     KummerParams,
     count_negative_roots,
     count_positive_roots,
     eval_m,
     eval_m_dz,
-    pochhammer,
 )
 from .measure import (
-    BallSpec,
     complement_radius,
     half_mass_radius,
     phi_inverse,
@@ -64,17 +59,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANTI_GAUSS",
-    "BallSpec",
     "ConstantRecord",
-    "EvalResult",
     "FdProblem",
     "JabSolution",
     "KummerParams",
-    "MinJabRecord",
     "NoRootFound",
     "NonConvergent",
     "RadialDensity",
-    "RadialProfile",
     "SpectralMode",
     "UNWEIGHTED",
     "c_constant",
@@ -92,7 +83,6 @@ __all__ = [
     "minimize_jab",
     "phi_inverse",
     "phi_volume",
-    "pochhammer",
     "read_csv",
     "secular_h",
     "solve_jab",

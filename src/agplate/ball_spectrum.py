@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NoRootFound
+from .errors import NoRootFound, check_degree, check_dimension
 from .kummer import KummerParams, eval_m, eval_m_dz
 
 SCAN_STEP = 0.25
@@ -74,8 +74,7 @@ class SpectralMode:
     G_R: float
 
     def __post_init__(self) -> None:
-        if self.l < 0:
-            raise ValueError("harmonic degree must be nonnegative")
+        check_degree(self.l)
         if not self.lam > 0.0:
             raise ValueError("frequency must be positive")
         if self.Lambda != self.lam * self.lam:
@@ -90,18 +89,12 @@ class RadialProfile:
     values: np.ndarray
 
 
-def _check_mode(n: int, l: int) -> None:
-    if int(n) != n or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
-    if int(l) != l or l < 0:
-        raise ValueError("harmonic degree must be a nonnegative integer")
-
-
 def secular_parts(
     n: int, l: int, r: float, lam: float
 ) -> tuple[float, float, float, float]:
     """Values and z-derivatives (M_+, M_-, M_+', M_-') at z = -r^2/2."""
-    _check_mode(n, l)
+    check_dimension(n)
+    check_degree(l)
     z = -0.5 * r * r
     b = 0.5 * n + l
     plus = KummerParams(0.5 * (l + lam), b)
@@ -120,44 +113,37 @@ def secular_h(n: int, l: int, R: float, lam: float) -> float:
     return d_p * m_m - d_m * m_p
 
 
-def scan_lowest_root(
-    f: Callable[[float], float],
-    *,
-    radius: float = 1.0,
-    step: float = SCAN_STEP,
-    ceiling: float = SCAN_CEILING,
-    max_ceiling: float = SCAN_CEILING_MAX,
-    reject_below: float = REJECT_BELOW,
-) -> float:
-    """Smallest root of f above reject_below, by fixed-step sign scanning.
+def scan_lowest_root(f: Callable[[float], float], radius: float) -> float:
+    """Smallest root of f above REJECT_BELOW, by fixed-step sign scanning.
 
-    step, ceiling and max_ceiling are given in the scaled variable
-    lambda * radius^2 and are multiplied by max(1, 1/radius^2), so a ball
-    of radius below 1 is scanned with as many samples as the unit ball;
-    for radius >= 1 they are used as given.  f is sampled at step,
-    2*step, ... and each sign change is refined with Brent's method.
-    When no change appears below the current ceiling the ceiling doubles,
-    up to max_ceiling; exhaustion raises NoRootFound.  Roots at or below
-    reject_below are treated as spurious and skipped.
+    The scan runs in the scaled variable lambda * radius^2: SCAN_STEP,
+    SCAN_CEILING and SCAN_CEILING_MAX are multiplied by max(1, 1/radius^2),
+    so a ball of radius below 1 is scanned with as many samples as the unit
+    ball; for radius >= 1 they are used as they are.  f is sampled at step,
+    2*step, ... and each sign change is refined with Brent's method.  When
+    no change appears below the current ceiling the ceiling doubles, up to
+    the scaled SCAN_CEILING_MAX; exhaustion raises NoRootFound.  Roots at
+    or below REJECT_BELOW are treated as spurious and skipped.  A radius
+    <= 0 raises ValueError.
     """
     if not radius > 0.0:
         raise ValueError("scan radius must be positive")
     scale = max(1.0, 1.0 / (radius * radius))
-    step, ceiling, max_ceiling = scale * step, scale * ceiling, scale * max_ceiling
+    step, max_ceiling = scale * SCAN_STEP, scale * SCAN_CEILING_MAX
     x = step
     fx = f(x)
-    if fx == 0.0 and x > reject_below:
+    if fx == 0.0 and x > REJECT_BELOW:
         return x
-    top = ceiling
+    top = scale * SCAN_CEILING
     while True:
         while x < top:
             xn = x + step
             fn = f(xn)
-            if fn == 0.0 and xn > reject_below:
+            if fn == 0.0 and xn > REJECT_BELOW:
                 return xn
             if fx != 0.0 and fn != 0.0 and (fx < 0.0) != (fn < 0.0):
                 root = brentq(f, x, xn, xtol=ROOT_XTOL, rtol=ROOT_RTOL)
-                if root > reject_below:
+                if root > REJECT_BELOW:
                     return root
             x, fx = xn, fn
         if top >= max_ceiling:
@@ -169,7 +155,8 @@ def scan_lowest_root(
 
 def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:
     """Fundamental clamped eigenvalue on the ball of radius R, degree l."""
-    _check_mode(n, l)
+    check_dimension(n)
+    check_degree(l)
     if not (math.isfinite(R) and R >= MIN_RADIUS):
         raise ValueError(f"radius must be finite and at least {MIN_RADIUS}")
     lam = scan_lowest_root(lambda t: secular_h(n, l, R, t), radius=R)
@@ -191,7 +178,7 @@ def eigenfunction_profile(
     mode: SpectralMode, n: int, R: float, samples: int = 512
 ) -> RadialProfile:
     """Sample the clamped eigenfunction y = r^l (M_+ + G_R M_-) on [0, R]."""
-    _check_mode(n, mode.l)
+    check_dimension(n)
     if samples < 2:
         raise ValueError("need at least two samples")
     b = 0.5 * n + mode.l

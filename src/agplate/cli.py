@@ -30,16 +30,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .ball_spectrum import lowest_eigenvalue
 from .constants import (
-    STATUS_NO_ROOT,
-    STATUS_NONCONVERGENT,
     STATUS_OK,
+    _FAILURE_STATUS,
+    _fmt,
     c_constant,
     format_records,
     sweep,
@@ -48,12 +47,7 @@ from .constants import (
 from .errors import NonConvergent, NoRootFound
 from .fd_oracle import ANTI_GAUSS, UNWEIGHTED, FdProblem, fd_lowest_eigenvalue
 from .jab_solver import minimize_jab, solve_jab
-
-_PRECISION_VALUES = ("", "auto", "double", "extended")
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+from .kummer import _precision_mode
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -92,12 +86,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     lines = ["R,l,lambda,status"]
     for R in sweep_radii(args.r_min, args.r_max, args.steps):
         try:
-            lam = lowest_eigenvalue(args.n, args.l, R).lam
-            status = STATUS_OK
-        except NoRootFound:
-            lam, status = float("nan"), STATUS_NO_ROOT
-        except NonConvergent:
-            lam, status = float("nan"), STATUS_NONCONVERGENT
+            lam, status = lowest_eigenvalue(args.n, args.l, R).lam, STATUS_OK
+        except tuple(_FAILURE_STATUS) as exc:
+            lam, status = float("nan"), _FAILURE_STATUS[type(exc)]
         lines.append(f"{_fmt(R)},{args.l},{_fmt(lam)},{status}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -259,16 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    precision = os.environ.get("CPLD_PRECISION", "")
-    if precision not in _PRECISION_VALUES:
-        sys.stderr.write(
-            f"agplate: invalid CPLD_PRECISION {precision!r}; "
-            "expected 'double', 'extended', or 'auto'\n"
-        )
-        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked up front, so subcommands that evaluate no series refuse
+        # an invalid CPLD_PRECISION too
+        _precision_mode()
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"agplate: {exc}\n")

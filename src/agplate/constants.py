@@ -48,6 +48,11 @@ CSV_HEADER = "n,R,Lambda1,lambda1,A_min,B_min,J_min,C,C_raw,status"
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no_root"
 STATUS_NONCONVERGENT = "nonconvergent"
+# status of a row whose solver raised one of these
+_FAILURE_STATUS = {
+    NoRootFound: STATUS_NO_ROOT,
+    NonConvergent: STATUS_NONCONVERGENT,
+}
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,8 @@ def _sweep_task(task: tuple[int, float, int]) -> ConstantRecord:
     n, R, grid_points = task
     try:
         return c_constant(n, R, grid_points)
-    except NoRootFound:
-        return _failed_record(n, R, STATUS_NO_ROOT)
-    except NonConvergent:
-        return _failed_record(n, R, STATUS_NONCONVERGENT)
+    except tuple(_FAILURE_STATUS) as exc:
+        return _failed_record(n, R, _FAILURE_STATUS[type(exc)])
 
 
 def sweep_radii(r_min: float, r_max: float, steps: int) -> list[float]:

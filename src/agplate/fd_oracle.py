@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import NonConvergent
+from .errors import NonConvergent, check_degree, check_dimension
 
 MIN_MESH = 64
 ITERATION_TOL = 1e-10
@@ -86,10 +86,8 @@ class FdProblem:
     density: RadialDensity = field(default=ANTI_GAUSS)
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError("dimension must be an integer >= 2")
-        if int(self.l) != self.l or self.l < 0:
-            raise ValueError("harmonic degree must be a nonnegative integer")
+        check_dimension(self.n)
+        check_degree(self.l)
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise ValueError("radius must be finite and positive")
         if int(self.mesh) != self.mesh or self.mesh < MIN_MESH:

@@ -49,6 +49,7 @@ from .ball_spectrum import (
     secular_h,
     secular_parts,
 )
+from .errors import check_dimension
 from .measure import complement_radius, half_mass_radius
 
 GRID_POINTS = 200
@@ -100,11 +101,6 @@ class MinJabRecord:
     profile: tuple[tuple[float, float, float], ...]
 
 
-def _check_dim(n: int) -> None:
-    if int(n) != n or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
-
-
 def _half_term(
     n: int,
     radius: float,
@@ -126,7 +122,7 @@ def jab_condition(n: int, A: float, B: float, lam: float) -> float:
 
     Swapping A and B returns the identical value; F is odd in lambda.
     """
-    _check_dim(n)
+    check_dimension(n)
     for radius in (A, B):
         if not (math.isfinite(radius) and radius >= 0.0):
             raise ValueError("radii must be finite and nonnegative")
@@ -198,7 +194,7 @@ def solve_jab(
     once per solve, so Brent's and the cold scan's repeated evaluations of
     a point cost nothing.
     """
-    _check_dim(n)
+    check_dimension(n)
     memo: dict[float, float] = {}
 
     def f(lam: float) -> float:
@@ -230,7 +226,7 @@ def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabReco
     within ENDPOINT_TIE_REL (relative), the single-ball split A = 0 is
     reported.
     """
-    _check_dim(n)
+    check_dimension(n)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError("radius must be finite and positive")
     if grid_points < 16:

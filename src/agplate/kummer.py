@@ -19,10 +19,11 @@ a cancellation ratio of ~1e3 this means 13+ correct digits; results with
 ``cancellation_flag`` set were recomputed in extended precision and are
 accurate to ~1e-15 relative regardless of the ratio.
 
-The environment variable ``CPLD_PRECISION`` forces the working precision:
-``double`` disables the extended-precision repair (the flag still reports
-the cancellation ratio), ``extended`` routes every evaluation through
-mpmath. Unset means automatic (repair exactly when flagged).
+The environment variable ``CPLD_PRECISION`` forces the working precision
+of ``eval_m`` and ``eval_m_dz``: ``double`` disables the extended-precision
+repair (the flag still reports the cancellation ratio), ``extended`` routes
+every evaluation through mpmath. Unset or ``auto`` means automatic (repair
+exactly when flagged).
 
 Only M itself is ever evaluated. The second, singular solution of Kummer's
 equation never enters any formula in this package; regularity at the origin
@@ -83,16 +84,6 @@ class EvalResult:
     cancellation_flag: bool
 
 
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    out = 1.0
-    for i in range(k):
-        out *= a + i
-    return out
-
-
 def _precision_mode() -> str:
     mode = os.environ.get("CPLD_PRECISION", "")
     if mode in ("", "auto"):
@@ -100,7 +91,8 @@ def _precision_mode() -> str:
     if mode in ("double", "extended"):
         return mode
     raise ValueError(
-        f"CPLD_PRECISION must be 'double' or 'extended', got {mode!r}"
+        "CPLD_PRECISION must be 'double', 'extended' or 'auto', "
+        f"got {mode!r}"
     )
 
 

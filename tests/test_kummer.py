@@ -13,7 +13,6 @@ from agplate import (
     count_positive_roots,
     eval_m,
     eval_m_dz,
-    pochhammer,
 )
 
 RNG_SEED = 20260816
@@ -35,13 +34,6 @@ def sample_params(count, rng):
     b = rng.uniform(0.3, 6.0, count)
     z = rng.uniform(-4.5, 4.5, count)
     return np.column_stack([a, b, z])
-
-
-def test_pochhammer_values():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(2.0, 3) == 24.0
-    assert pochhammer(-1.5, 2) == 0.75
-    assert pochhammer(0.0, 4) == 0.0
 
 
 def test_params_validation():

@@ -1,14 +1,18 @@
 """Tests for the weighted volume Phi and the mass-split geometry."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from agplate import measure
 from agplate.measure import (
     INVERT_TOL,
-    BallSpec,
     complement_radius,
     half_mass_radius,
     phi_inverse,
@@ -53,6 +57,36 @@ def test_phi_series_three_dimensions():
         term_scale /= 2.0 * (k + 1)
     expected = 4.0 * math.pi * total
     assert phi_volume(3, 1.0) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 40])
+def test_phi_matches_high_precision_quadrature(n):
+    # beta_n int_0^R exp(r^2/2) r^(n-1) dr at 40 digits, without the series
+    with mpmath.workdps(40):
+        half = mpmath.mpf(n) / 2
+        beta = 2 * mpmath.pi**half / mpmath.gamma(half)
+        for R in np.geomspace(1e-3, 30.0, 16):
+            R = float(R)
+            integral = mpmath.quad(
+                lambda r: mpmath.exp(r * r / 2) * r ** (n - 1), [0, R]
+            )
+            expected = float(beta * integral)
+            assert phi_volume(n, R) == pytest.approx(expected, rel=1e-12), R
+
+
+def test_import_leaves_scipy_integrate_out():
+    # Phi needs no quadrature, so the package must not load scipy.integrate
+    src = str(Path(measure.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, agplate; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_phi_zero_radius_is_zero():
@@ -106,13 +140,15 @@ def test_phi_inverse_is_cheap_at_small_radii(monkeypatch):
         return volume(n, R)
 
     monkeypatch.setattr(measure, "phi_volume", counted)
-    for n in (2, 3, 4, 5):
-        for R in (1e-3, 0.01, 0.1):
-            v = volume(n, R)
-            calls.clear()
-            assert phi_inverse(n, v) == pytest.approx(R, rel=1e-12)
-            # one call brackets, the rest are Newton steps from above
-            assert len(calls) <= 6, (n, R, len(calls))
+    cases = [(n, R) for n in (2, 3, 4, 5) for R in (1e-3, 0.01, 0.1)]
+    # roots exactly on a bracket end, which Newton from below overshoots
+    cases += [(2, 1.0), (3, 2.0), (5, 1.0)]
+    for n, R in cases:
+        v = volume(n, R)
+        calls.clear()
+        assert phi_inverse(n, v) == pytest.approx(R, rel=1e-12)
+        # one call brackets, the rest are Newton steps from above
+        assert len(calls) <= 6, (n, R, len(calls))
 
 
 def test_phi_inverse_zero_and_rejects():
@@ -192,13 +228,3 @@ def test_complement_rejects_large_violations():
     with pytest.raises(ValueError):
         complement_radius(2, 1.0, math.nan)
 
-
-def test_ball_spec_validation():
-    ball = BallSpec(3, 0.75)
-    assert ball.n == 3 and ball.R == 0.75
-    with pytest.raises(ValueError):
-        BallSpec(1, 1.0)
-    with pytest.raises(ValueError):
-        BallSpec(2, 0.0)
-    with pytest.raises(ValueError):
-        BallSpec(2, math.inf)
