@@ -35,10 +35,9 @@ for radius in (1.2, 1.25):
           % (radius, record.A_min, ratio, record.J_min))
 print()
 
-# The scan profile behind the R = 1.25 minimum, thinned to every 20th
-# sample: sqrt(mu) as the split moves from one ball toward equal balls.
+# The scan profile behind the R = 1.25 minimum, one row per grid sample:
+# sqrt(mu) as the split moves from one ball toward equal balls.
 record = minimize_jab(n, 1.25)
 print("A         B         sqrt(mu)")
-for a, b, root in record.profile[::20]:
+for a, b, root in record.profile:
     print("%-9.5f %-9.5f %.7f" % (a, b, root))
-print("%-9.5f %-9.5f %.7f" % record.profile[-1])

@@ -46,7 +46,7 @@ from .constants import (
 )
 from .errors import NonConvergent, NoRootFound
 from .fd_oracle import ANTI_GAUSS, UNWEIGHTED, FdProblem, fd_lowest_eigenvalue
-from .jab_solver import minimize_jab, solve_jab
+from .jab_solver import GRID_POINTS, minimize_jab, solve_jab
 from .kummer import _precision_mode
 
 
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     minjab = sub.add_parser("minjab", help="minimize over volume splits")
     minjab.add_argument("--n", type=int, required=True)
     minjab.add_argument("--R", type=float, required=True)
-    minjab.add_argument("--grid-points", type=int, default=200)
+    minjab.add_argument("--grid-points", type=int, default=GRID_POINTS)
     minjab.add_argument(
         "--profile",
         default=None,
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     const = sub.add_parser("const", help="the constant C(R, n)")
     const.add_argument("--n", type=int, required=True)
     const.add_argument("--R", type=float, required=True)
-    const.add_argument("--grid-points", type=int, default=200)
+    const.add_argument("--grid-points", type=int, default=GRID_POINTS)
     const.set_defaults(func=_cmd_const)
 
     sweep_p = sub.add_parser("sweep", help="constants over a radius grid")
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--r-min", type=float, default=0.05)
     sweep_p.add_argument("--r-max", type=float, default=3.0)
     sweep_p.add_argument("--steps", type=int, default=120)
-    sweep_p.add_argument("--grid-points", type=int, default=200)
+    sweep_p.add_argument("--grid-points", type=int, default=GRID_POINTS)
     sweep_p.add_argument("--parallel", action="store_true")
     sweep_p.add_argument("--out", default=None, help="CSV path (default stdout)")
     sweep_p.set_defaults(func=_cmd_sweep)

@@ -30,8 +30,9 @@ uniform grid from 0 to the half-mass radius A*(R) and B is the complement
 radius, so the pair always fills the weighted volume of the R-ball.  Each grid
 point's solve is warm-started from its predecessor's root: a narrow bracket
 around that hint, sign checks that no root lies below the bracket, and a
-Brent refinement (see solve_jab).  The best grid cell is polished by
-golden-section refinement.
+Brent refinement (see solve_jab).  J_min is mu at the smallest-A sample within
+ENDPOINT_TIE_REL (relative) of the lowest sampled mu, so ties go to A = 0.
+Nothing refines between samples: an interior minimum shows at grid resolution.
 """
 
 from __future__ import annotations
@@ -52,14 +53,12 @@ from .ball_spectrum import (
 from .errors import check_dimension
 from .measure import complement_radius, half_mass_radius
 
-GRID_POINTS = 200
+GRID_POINTS = 16
 # relative half-width of the first warm-start bracket, and the widest one
 # tried before the cold scan; each failed try widens by HINT_WIDEN
 HINT_WINDOW = (2e-3, 0.25)
 HINT_WIDEN = 4.0
-REFINE_XTOL = 1e-8
 ENDPOINT_TIE_REL = 1e-9
-_INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,10 @@ class JabSolution:
 class MinJabRecord:
     """Result of minimizing mu(A, B) under the volume-split constraint.
 
-    profile holds the (A, B, sqrt(mu)) grid samples in scan order; the
-    reported minimum comes from those samples plus endpoint refinement,
-    so J_min never exceeds any profile value.
+    profile holds the (A, B, sqrt(mu)) grid samples in scan order.  The
+    minimum is the smallest-A sample whose mu is within ENDPOINT_TIE_REL
+    (relative) of the lowest profile mu, so an interior minimum is reported
+    at grid resolution.
     """
 
     R: float
@@ -219,12 +219,13 @@ def solve_jab(
 def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabRecord:
     """Minimize mu(A, B) over the volume split of the R-ball.
 
-    A runs over a uniform inclusive grid on [0, A*(R)] with B the
-    complement radius (B = R exactly at A = 0 and B = A* exactly at the
-    equal split).  The winning grid cell is refined by golden-section
-    search down to REFINE_XTOL in A.  When the two endpoint values tie to
-    within ENDPOINT_TIE_REL (relative), the single-ball split A = 0 is
-    reported.
+    A runs over a uniform inclusive grid of grid_points samples on
+    [0, A*(R)] with B the complement radius (B = R exactly at A = 0 and
+    B = A* exactly at the equal split), each solve warm-started from the
+    previous sample's root.  J_min is mu at the smallest-A sample within
+    ENDPOINT_TIE_REL (relative) of the profile minimum: a tie goes to the
+    single ball A = 0, and roundoff dips never displace an endpoint.  With no
+    refinement between samples, an interior minimum shows at grid resolution.
     """
     check_dimension(n)
     if not (math.isfinite(R) and R > 0.0):
@@ -233,60 +234,19 @@ def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabReco
         raise ValueError("need at least 16 grid points")
 
     a_star = half_mass_radius(n, R)
-    a_grid = np.linspace(0.0, a_star, grid_points)
     solutions: list[JabSolution] = []
     hint: float | None = None
-    for i, a in enumerate(a_grid):
+    for i, a in enumerate(np.linspace(0.0, a_star, grid_points)):
         b = a_star if i == grid_points - 1 else complement_radius(n, R, float(a))
         sol = solve_jab(n, float(a), b, lambda_hint=hint)
         hint = sol.lam
         solutions.append(sol)
 
-    profile = tuple((s.A, s.B, s.lam) for s in solutions)
-    mus = [s.mu for s in solutions]
-    best_idx = int(np.argmin(mus))
-    best = solutions[best_idx]
-
-    first, last = solutions[0], solutions[-1]
-    tie = abs(first.mu - last.mu) <= ENDPOINT_TIE_REL * max(first.mu, last.mu)
-    if tie and min(first.mu, last.mu) <= mus[best_idx]:
-        return MinJabRecord(
-            R=R, n=n, A_min=first.A, B_min=first.B, J_min=first.mu,
-            profile=profile,
-        )
-
-    lo = float(a_grid[max(best_idx - 1, 0)])
-    hi = float(a_grid[min(best_idx + 1, grid_points - 1)])
-    hint = best.lam
-
-    def probe(a: float) -> JabSolution:
-        nonlocal hint
-        sol = solve_jab(n, a, complement_radius(n, R, a), lambda_hint=hint)
-        hint = sol.lam
-        return sol
-
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    s1, s2 = probe(x1), probe(x2)
-    # candidates must beat the incumbent by a relative margin, so
-    # roundoff-level dips next to an exact endpoint never displace it
-    for s in (s1, s2):
-        if s.mu < best.mu * (1.0 - 1e-12):
-            best = s
-    while hi - lo > REFINE_XTOL:
-        if s1.mu <= s2.mu:
-            hi, x2, s2 = x2, x1, s1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            s1 = probe(x1)
-            candidate = s1
-        else:
-            lo, x1, s1 = x1, x2, s2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            s2 = probe(x2)
-            candidate = s2
-        if candidate.mu < best.mu * (1.0 - 1e-12):
-            best = candidate
-
+    lowest = min(s.mu for s in solutions)
+    best = next(
+        s for s in solutions if s.mu - lowest <= ENDPOINT_TIE_REL * lowest
+    )
     return MinJabRecord(
-        R=R, n=n, A_min=best.A, B_min=best.B, J_min=best.mu, profile=profile,
+        R=R, n=n, A_min=best.A, B_min=best.B, J_min=best.mu,
+        profile=tuple((s.A, s.B, s.lam) for s in solutions),
     )

@@ -6,7 +6,7 @@ import pytest
 
 from agplate import cli
 from agplate.cli import main
-from agplate.constants import CSV_HEADER
+from agplate.constants import CSV_HEADER, c_constant
 from agplate.errors import NoRootFound
 
 
@@ -121,6 +121,15 @@ def test_const_reports_all_fields(capsys):
     assert set(payload) == set(CSV_HEADER.split(","))
     assert payload["status"] == "ok"
     assert payload["C"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_const_default_grid_matches_library_default(capsys):
+    # no --grid-points: the CLI runs the same grid as c_constant's default
+    payload = run_json(capsys, ["const", "--n", "2", "--R", "1.5"])
+    record = c_constant(2, 1.5)
+    assert payload["C"] == record.C
+    assert payload["A_min"] == record.A_min
+    assert payload["J_min"] == record.J_min
 
 
 def test_sweep_outputs_are_deterministic(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the constant assembly, the radius sweep, and the CSV format."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,9 @@ from agplate.constants import (
     write_csv,
 )
 from agplate.errors import NoRootFound
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def _no_root(n, l, R):
@@ -174,3 +178,16 @@ def test_format_is_full_precision():
     )
     line = format_records([tricky]).splitlines()[1]
     assert float(line.split(",")[2]) == 1 / 3
+
+
+def test_default_grid_sweep_matches_frozen_data_at_exact_endpoints():
+    # the 480-point acceptance sweep on the default grid: the frozen C under
+    # the acceptance rule, and every minimizer exactly at A = 0 or A = A*
+    live = sweep([2, 3, 4, 5], 0.05, 3.0, 120, parallel=False)
+    frozen = read_csv(DATA_DIR / "frozen_sweep.csv")
+    assert len(live) == len(frozen) == 480
+    for got, ref in zip(live, frozen):
+        assert (got.n, got.R) == (ref.n, ref.R)
+        assert got.status == ref.status == STATUS_OK, (got.n, got.R)
+        assert abs(got.C - ref.C) <= 1e-6 * max(1.0, abs(ref.C))
+        assert got.A_min == 0.0 or got.A_min == got.B_min, (got.n, got.R)

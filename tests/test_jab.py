@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 from agplate import jab_solver
 from agplate.ball_spectrum import lowest_eigenvalue, secular_h
+from agplate.constants import sweep_radii
 from agplate.jab_solver import (
     JabSolution,
     jab_condition,
@@ -203,6 +204,21 @@ def test_minimum_profile_is_continuous():
     spread = max(roots) - min(roots)
     jumps = [abs(b - a) for a, b in zip(roots, roots[1:])]
     assert max(jumps) <= max(spread / 10.0, 1e-9)
+
+
+# the example is the first acceptance-sweep radius at n = 3: on the fine
+# grid the second sample dips 1e-12 below A = 0, a roundoff tie that must
+# still go to A = 0
+@settings(deadline=None, max_examples=15)
+@given(st.integers(2, 5), st.floats(0.05, 3.0))
+@example(3, sweep_radii(0.05, 3.0, 120)[0])
+def test_default_grid_matches_fine_grid_at_an_exact_endpoint(n, R):
+    coarse = minimize_jab(n, R)
+    fine = minimize_jab(n, R, grid_points=200)
+    assert coarse.J_min == pytest.approx(fine.J_min, rel=1e-9)
+    ends = (0.0, half_mass_radius(n, R))
+    assert coarse.A_min in ends
+    assert fine.A_min in ends
 
 
 def test_minimize_validation():
