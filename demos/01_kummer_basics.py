@@ -17,7 +17,7 @@ from agplate.kummer import (
 
 # A single evaluation returns the value together with diagnostics: how many
 # series terms were consumed, the largest term magnitude along the way, and
-# whether catastrophic cancellation forced the extended-precision repair.
+# whether catastrophic cancellation forced the mpmath repair.
 result = eval_m(KummerParams(-2.5, 1.0), -0.5)
 print("M(-2.5, 1.0, -0.5)  =", result.value)
 print("terms used          =", result.terms_used)
@@ -41,8 +41,9 @@ print("M'(0.5, 2.0, 0.0) =", d.value, " (equals a/b = 0.25 at the origin)")
 print()
 
 # Alternating series with large negative z cancel catastrophically in
-# doubles; the engine detects the blowup of max|term| / |sum| and recomputes
-# with escalating precision, keeping the flag set so callers can see it.
+# doubles; the engine flags a max|term| / |sum| above 1e8 and recomputes the
+# value with mpmath.hyp1f1, which raises its own precision until the double
+# is correct, keeping the flag set so callers can see it.
 hard = eval_m(KummerParams(20.0, 1.5, ), -20.0)
 print("M(20, 1.5, -20) =", hard.value)
 print("  flagged:", hard.cancellation_flag,

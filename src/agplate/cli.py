@@ -21,9 +21,10 @@ curve and sweep are left-open: steps points on (r_min, r_max], endpoint
 included, r_min excluded.
 
 The environment variable CPLD_PRECISION forces the working precision of
-the series evaluator: "double" skips the extended-precision repair,
+the series evaluator: "double" skips the mpmath repair of cancelled series,
 "extended" always applies it, unset or "auto" repairs exactly when the
-cancellation flag trips.
+cancellation flag trips (largest term above 1e8 times the sum). A repair
+that mpmath cannot complete exits with code 3.
 """
 
 from __future__ import annotations

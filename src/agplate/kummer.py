@@ -7,23 +7,23 @@ The series is evaluated by the term recurrence
 
 accumulated with compensated (Kahan) summation. For z < 0 the series
 alternates and can cancel catastrophically; evaluation therefore tracks the
-largest term magnitude against the final sum and, when the ratio exceeds
-``CANCELLATION_RATIO``, repeats the same recurrence in wider mpmath
-arithmetic (working precision escalated until the cancellation has enough
-headroom) instead of returning noise.
+largest term magnitude against the final sum and flags the value when the
+ratio exceeds ``CANCELLATION_RATIO``. A flagged value is then replaced by
+``mpmath.hyp1f1``, which measures the cancellation of its own series and
+raises its working precision until 17 significant digits are correct; if it
+cannot, the evaluation raises NonConvergent rather than return a value it
+cannot back up. The term count and largest term still describe the double
+pass.
 
-Accuracy of the double-precision path degrades with cancellation: the
-absolute error is roughly machine epsilon times ``max_term_magnitude``, so
-the relative error is about ``2e-16 * max_term_magnitude / |value|``. Below
-a cancellation ratio of ~1e3 this means 13+ correct digits; results with
-``cancellation_flag`` set were recomputed in extended precision and are
-accurate to ~1e-15 relative regardless of the ratio.
+The double sum loses about ``2e-16 * max_term_magnitude / |value|`` in
+relative accuracy, so an unflagged value (ratio at most 1e8) is accurate to
+about 1e-8 relative, and to 13+ digits below a ratio of ~1e3. A flagged
+value is within about an ulp of M, whatever the ratio.
 
 The environment variable ``CPLD_PRECISION`` forces the working precision
-of ``eval_m`` and ``eval_m_dz``: ``double`` disables the extended-precision
-repair (the flag still reports the cancellation ratio), ``extended`` routes
-every evaluation through mpmath. Unset or ``auto`` means automatic (repair
-exactly when flagged).
+of ``eval_m`` and ``eval_m_dz``: ``double`` disables the mpmath repair (the
+flag still reports the cancellation ratio), ``extended`` repairs every
+evaluation. Unset or ``auto`` means automatic (repair exactly when flagged).
 
 Only M itself is ever evaluated. The second, singular solution of Kummer's
 equation never enters any formula in this package; regularity at the origin
@@ -46,12 +46,8 @@ from .errors import NonConvergent
 SERIES_TOL = 1e-17
 CONSECUTIVE_SMALL = 3
 MAX_TERMS = 2000
-CANCELLATION_RATIO = 1e12
+CANCELLATION_RATIO = 1e8
 TINY = 1e-300
-
-_EXT_START_DPS = 40
-_EXT_HEADROOM = 25
-_EXT_MAX_DPS = 600
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,7 @@ class EvalResult:
 
     cancellation_flag is true iff max_term_magnitude / max(|value|, TINY)
     exceeds CANCELLATION_RATIO; when true (and the precision mode allows it)
-    the value was recomputed in extended working precision before being
-    returned.
+    the value was recomputed by mpmath before being returned.
     """
 
     value: float
@@ -126,62 +121,34 @@ def _sum_double(a: float, b: float, z: float) -> tuple[float, int, float]:
     )
 
 
-def _sum_extended(a: float, b: float, z: float) -> tuple[float, int, float]:
-    """Same recurrence in mpmath arithmetic.
+def _sum_extended(a: float, b: float, z: float) -> float:
+    """M(a, b, z) from mpmath.hyp1f1, correct to double precision.
 
-    Working precision starts at _EXT_START_DPS digits and is raised until it
-    exceeds the observed cancellation by _EXT_HEADROOM digits, so the result
-    is reliable even when the double pass underestimated the cancellation.
+    mpmath measures the cancellation of its series and raises its own working
+    precision until all 17 requested digits are correct. Past 2000 bits of
+    cancellation it returns an exact zero (M(b + 1, b, -b) = 0 cancels without
+    bound) instead of climbing on to its 4000-bit cap; any failure it reports
+    is raised as NonConvergent.
     """
-    dps = _EXT_START_DPS
-    while True:
-        with mpmath.workdps(dps):
-            ta, tb, tz = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(z)
-            tol = mpmath.mpf(10) ** (3 - dps)
-            t = mpmath.mpf(1)
-            s = mpmath.mpf(1)
-            max_t = mpmath.mpf(1)
-            small = 0
-            k = 0
-            converged = False
-            while k < MAX_TERMS:
-                t *= (ta + k) * tz / ((tb + k) * (k + 1))
-                k += 1
-                s += t
-                at = abs(t)
-                if at > max_t:
-                    max_t = at
-                if at <= tol * abs(s):
-                    small += 1
-                    if small >= CONSECUTIVE_SMALL:
-                        converged = True
-                        break
-                else:
-                    small = 0
-            if not converged:
-                raise NonConvergent(
-                    f"Kummer series did not converge in {MAX_TERMS} terms "
-                    f"(a={a}, b={b}, z={z}, extended)"
-                )
-            if s == 0:
-                return 0.0, k, float(max_t)
-            need = int(mpmath.log10(max_t / abs(s))) + _EXT_HEADROOM
-        if dps >= need or dps >= _EXT_MAX_DPS:
-            return float(s), k, float(max_t)
-        dps = min(max(need, dps + 10), _EXT_MAX_DPS)
+    try:
+        with mpmath.workdps(17):
+            return float(mpmath.hyp1f1(a, b, z, zeroprec=2000, maxprec=4000))
+    except (ValueError, mpmath.mp.NoConvergence) as exc:
+        raise NonConvergent(
+            f"mpmath hyp1f1 failed (a={a}, b={b}, z={z}): {exc}"
+        ) from exc
 
 
 def _eval_raw(a: float, b: float, z: float) -> tuple[float, int, float, bool]:
-    """Shared evaluation core. Returns (value, terms, max_term, flag)."""
+    """Shared evaluation core. Returns (value, terms, max_term, flag).
+
+    The double pass supplies the term statistics; a repair replaces the value.
+    """
     mode = _precision_mode()
-    if mode == "extended":
-        value, terms, max_t = _sum_extended(a, b, z)
-        flag = max_t / max(abs(value), TINY) > CANCELLATION_RATIO
-        return value, terms, max_t, flag
     value, terms, max_t = _sum_double(a, b, z)
     flag = max_t / max(abs(value), TINY) > CANCELLATION_RATIO
-    if flag and mode == "auto":
-        value, terms, max_t = _sum_extended(a, b, z)
+    if mode == "extended" or (flag and mode == "auto"):
+        value = _sum_extended(a, b, z)
         flag = max_t / max(abs(value), TINY) > CANCELLATION_RATIO
     return value, terms, max_t, flag
 
@@ -189,7 +156,8 @@ def _eval_raw(a: float, b: float, z: float) -> tuple[float, int, float, bool]:
 def eval_m(p: KummerParams, z: float) -> EvalResult:
     """Evaluate M(p.a, p.b, z).
 
-    Raises NonConvergent if the series needs more than MAX_TERMS terms.
+    Raises NonConvergent if the series needs more than MAX_TERMS terms or
+    the mpmath repair fails.
     """
     if not math.isfinite(z):
         raise ValueError("z must be finite")

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import pytest
 
 from agplate import cli
@@ -36,6 +37,16 @@ def test_eig_reports_missing_root(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "lowest_eigenvalue", no_root)
     assert main(["eig", "--n", "2", "--R", "1.0"]) == 3
+    assert "agplate:" in capsys.readouterr().err
+
+
+def test_eig_reports_failed_precision_repair(capsys, monkeypatch):
+    # the root scan at R = 5 meets cancelling series that go to mpmath
+    def fail(*args, **kwargs):
+        raise ValueError("hypsum failed to converge")
+
+    monkeypatch.setattr(mpmath, "hyp1f1", fail)
+    assert main(["eig", "--n", "2", "--R", "5.0"]) == 3
     assert "agplate:" in capsys.readouterr().err
 
 

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agplate import (
     KummerParams,
@@ -180,6 +182,59 @@ def test_extreme_cancellation_repaired():
         r = eval_m(KummerParams(a, b), z)
         assert r.cancellation_flag
         assert r.value == pytest.approx(m_ref(a, b, z), rel=5e-13)
+
+
+@st.composite
+def _pipeline_arguments(draw):
+    """(a, b, z) as the secular determinant meets them: b = n/2 + l, z < 0."""
+    b = draw(st.integers(2, 5)) / 2.0 + draw(st.integers(0, 3))
+    z = draw(st.floats(-20.0, -1e-4))
+    a = draw(st.floats(-1.0, 1.0)) * min(2000.0, 400.0 / abs(z))
+    return a, b, z
+
+
+# a flagged value was repaired to double precision; an unflagged one had a
+# cancellation ratio of at most CANCELLATION_RATIO = 1e8, so the double sum
+# kept about eight digits. The examples have ratios of 4.5e11 and 1.6e9, and
+# their double sums are off by 7.2e-5 and 2.2e-7.
+@settings(deadline=None)
+@given(_pipeline_arguments())
+@example((199.149, 2.0, -0.8427))
+@example((-2.5, 2.5, -50.0))
+def test_flag_bounds_the_error(case):
+    a, b, z = case
+    r = eval_m(KummerParams(a, b), z)
+    ref = m_ref(a, b, z, dps=60)
+    tol = 1e-13 if r.cancellation_flag else 1e-7
+    assert abs(r.value - ref) <= tol * abs(ref), (r, ref)
+
+
+def test_repair_meets_closed_forms():
+    # M(b + 1, b, z) = e^z (b + z) / b vanishes at z = -b, where the
+    # series cancels completely; (b + z) is exact there, 1 + z/b is not
+    exact_zero = eval_m(KummerParams(3.0, 2.0), -2.0)
+    assert exact_zero.cancellation_flag
+    assert exact_zero.value == 0.0
+    for b in (1.0, 2.5, 20.0):
+        for z in (-b * (1.0 - 1e-9), -b * (1.0 + 1e-9), -30.0):
+            r = eval_m(KummerParams(b + 1.0, b), z)
+            closed = math.exp(z) * (b + z) / b
+            assert r.cancellation_flag, (b, z)
+            assert r.value == pytest.approx(closed, rel=1e-12), (b, z)
+
+
+def test_mpmath_failure_is_nonconvergent(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("hypsum failed to converge")
+
+    monkeypatch.setattr(mpmath, "hyp1f1", fail)
+    # unflagged values never reach mpmath
+    assert eval_m(KummerParams(1.0, 2.0), 1.0).value == pytest.approx(
+        math.e - 1.0, rel=1e-14
+    )
+    a, b, z = EXTREME_CASES[0]
+    with pytest.raises(NonConvergent):
+        eval_m(KummerParams(a, b), z)
 
 
 def test_precision_mode_double(monkeypatch):
