@@ -35,9 +35,14 @@ r = eval_m(KummerParams(1.0, 2.0), 0.7)
 print("  series", r.value, " closed form", math.expm1(0.7) / 0.7)
 print()
 
-# The derivative is itself a Kummer value: M'(a,b,z) = (a/b) M(a+1,b+1,z).
+# The same series pass yields the z-derivative: its terms are
+# (a)_{k+1} z^k / ((b)_{k+1} k!), so M'(a,b,z) = (a/b) M(a+1,b+1,z). eval_m
+# returns it as .derivative, with its own largest term and cancellation
+# flag; eval_m_dz reports the same pass with M' as its value.
 d = eval_m_dz(KummerParams(0.5, 2.0), 0.0)
 print("M'(0.5, 2.0, 0.0) =", d.value, " (equals a/b = 0.25 at the origin)")
+r = eval_m(KummerParams(1.0, 2.0), 0.7)
+print("M(1, 2, 0.7) =", r.value, " M'(1, 2, 0.7) =", r.derivative)
 print()
 
 # Alternating series with large negative z cancel catastrophically in

@@ -48,7 +48,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoRootFound, check_degree, check_dimension
-from .kummer import KummerParams, eval_m, eval_m_dz
+from .kummer import KummerParams, eval_m
+# not called here, but perfbench/tracer.py requires this binding
+from .kummer import eval_m_dz  # noqa: F401
 
 SCAN_STEP = 0.25
 SCAN_CEILING = 50.0
@@ -97,14 +99,9 @@ def secular_parts(
     check_degree(l)
     z = -0.5 * r * r
     b = 0.5 * n + l
-    plus = KummerParams(0.5 * (l + lam), b)
-    minus = KummerParams(0.5 * (l - lam), b)
-    return (
-        eval_m(plus, z).value,
-        eval_m(minus, z).value,
-        eval_m_dz(plus, z).value,
-        eval_m_dz(minus, z).value,
-    )
+    plus = eval_m(KummerParams(0.5 * (l + lam), b), z)
+    minus = eval_m(KummerParams(0.5 * (l - lam), b), z)
+    return plus.value, minus.value, plus.derivative, minus.derivative
 
 
 def secular_h(n: int, l: int, R: float, lam: float) -> float:

@@ -1,33 +1,39 @@
-"""Kummer's confluent hypergeometric function M(a, b, z) by direct series.
+"""Kummer's confluent hypergeometric function M(a, b, z) and dM/dz by series.
 
-M(a, b, z) = sum_k (a)_k / ((b)_k k!) z^k with (a)_k the rising factorial.
-The series is evaluated by the term recurrence
+M(a, b, z) = sum_k t_k and M'(a, b, z) = dM/dz = sum_k u_k, with
 
-    t_{k+1} = t_k * (a + k) * z / ((b + k) * (k + 1)),
+    t_k = (a)_k / ((b)_k k!) z^k,      u_k = (a)_{k+1} / ((b)_{k+1} k!) z^k
 
-accumulated with compensated (Kahan) summation. For z < 0 the series
-alternates and can cancel catastrophically; evaluation therefore tracks the
-largest term magnitude against the final sum and flags the value when the
-ratio exceeds ``CANCELLATION_RATIO``. A flagged value is then replaced by
-``mpmath.hyp1f1``, which measures the cancellation of its own series and
-raises its working precision until 17 significant digits are correct; if it
-cannot, the evaluation raises NonConvergent rather than return a value it
-cannot back up. The term count and largest term still describe the double
-pass.
+and (a)_k the rising factorial.  One recurrence yields both series:
+
+    u_k = t_k * (a + k) / (b + k),     t_{k+1} = u_k * z / (k + 1),
+
+so ``eval_m`` sums M and M' in a single pass, each with its own compensated
+(Kahan) sum, and stops once both meet the relative term test.  For z < 0
+both series alternate and can cancel catastrophically; evaluation therefore
+tracks each series' largest term magnitude against its final sum and flags
+that value when the ratio exceeds ``CANCELLATION_RATIO``.  The two flags are
+independent, and so are the repairs: a flagged M is replaced by
+``mpmath.hyp1f1(a, b, z)``, a flagged M' by (a/b) ``hyp1f1(a + 1, b + 1, z)``.
+mpmath measures the cancellation of its own series and raises its working
+precision until 17 significant digits are correct; if it cannot, the
+evaluation raises NonConvergent rather than return a value it cannot back
+up.  The term count and largest terms still describe the double pass.
 
 The double sum loses about ``2e-16 * max_term_magnitude / |value|`` in
 relative accuracy, so an unflagged value (ratio at most 1e8) is accurate to
 about 1e-8 relative, and to 13+ digits below a ratio of ~1e3. A flagged
-value is within about an ulp of M, whatever the ratio.
+value is within about an ulp of M (or M'), whatever the ratio.
 
 The environment variable ``CPLD_PRECISION`` forces the working precision
-of ``eval_m`` and ``eval_m_dz``: ``double`` disables the mpmath repair (the
-flag still reports the cancellation ratio), ``extended`` repairs every
-evaluation. Unset or ``auto`` means automatic (repair exactly when flagged).
+of ``eval_m`` and ``eval_m_dz``, for M and M' alike: ``double`` disables the
+mpmath repair (the flags still report the cancellation ratios),
+``extended`` repairs every evaluation. Unset or ``auto`` means automatic
+(repair exactly the flagged values).
 
-Only M itself is ever evaluated. The second, singular solution of Kummer's
-equation never enters any formula in this package; regularity at the origin
-is built into the ansatz rather than checked numerically.
+The second, singular solution of Kummer's equation never enters any formula
+in this package; regularity at the origin is built into the ansatz rather
+than checked numerically.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 
@@ -64,19 +71,29 @@ class KummerParams:
             raise ValueError("Kummer parameter b must be positive")
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Outcome of one series evaluation.
 
-    cancellation_flag is true iff max_term_magnitude / max(|value|, TINY)
-    exceeds CANCELLATION_RATIO; when true (and the precision mode allows it)
-    the value was recomputed by mpmath before being returned.
+    value is M (or M' for ``eval_m_dz``) and derivative is M'; terms_used
+    counts the terms of the pass that computed both.  Each value carries its
+    own largest term and flag: cancellation_flag is true iff
+    max_term_magnitude / max(|value|, TINY) exceeds CANCELLATION_RATIO, and
+    derivative_flag likewise for derivative_max_term and derivative.  A
+    flagged value was recomputed by mpmath (when the precision mode allows
+    it) independently of the other.  ``eval_m_dz`` has no second derivative
+    to report and leaves the derivative fields None.
+
+    Immutable like a frozen dataclass, but a NamedTuple is about three times
+    cheaper to build, and one is built per series evaluation.
     """
 
     value: float
     terms_used: int
     max_term_magnitude: float
     cancellation_flag: bool
+    derivative: float | None = None
+    derivative_max_term: float | None = None
+    derivative_flag: bool | None = None
 
 
 def _precision_mode() -> str:
@@ -121,6 +138,56 @@ def _sum_double(a: float, b: float, z: float) -> tuple[float, int, float]:
     )
 
 
+def _sum_pair(
+    a: float, b: float, z: float
+) -> tuple[float, float, int, float, float]:
+    """M and M' from one forward recurrence in doubles.
+
+    Returns (M, M', terms_used, max |t_k|, max |u_k|).  The loop stops once
+    both series have met the relative term test on the same
+    CONSECUTIVE_SMALL terms in a row.
+    """
+    tol = SERIES_TOL
+    t = 1.0
+    s = 1.0
+    comp = 0.0
+    max_t = 1.0
+    u = a / b
+    d = u
+    dcomp = 0.0
+    max_u = abs(u)
+    small = 0
+    k = 0.0
+    while k < MAX_TERMS:
+        k += 1.0
+        t = u * z / k
+        u = t * (a + k) / (b + k)
+        y = t - comp
+        tt = s + y
+        comp = (tt - s) - y
+        s = tt
+        y = u - dcomp
+        tt = d + y
+        dcomp = (tt - d) - y
+        d = tt
+        at = abs(t)
+        au = abs(u)
+        if at > max_t:
+            max_t = at
+        if au > max_u:
+            max_u = au
+        if at <= tol * abs(s) and au <= tol * abs(d):
+            small += 1
+            if small >= CONSECUTIVE_SMALL:
+                return s, d, int(k), max_t, max_u
+        else:
+            small = 0
+    raise NonConvergent(
+        f"Kummer series did not converge in {MAX_TERMS} terms "
+        f"(a={a}, b={b}, z={z})"
+    )
+
+
 def _sum_extended(a: float, b: float, z: float) -> float:
     """M(a, b, z) from mpmath.hyp1f1, correct to double precision.
 
@@ -139,46 +206,43 @@ def _sum_extended(a: float, b: float, z: float) -> float:
         ) from exc
 
 
-def _eval_raw(a: float, b: float, z: float) -> tuple[float, int, float, bool]:
-    """Shared evaluation core. Returns (value, terms, max_term, flag).
-
-    The double pass supplies the term statistics; a repair replaces the value.
-    """
-    mode = _precision_mode()
-    value, terms, max_t = _sum_double(a, b, z)
-    flag = max_t / max(abs(value), TINY) > CANCELLATION_RATIO
-    if mode == "extended" or (flag and mode == "auto"):
-        value = _sum_extended(a, b, z)
-        flag = max_t / max(abs(value), TINY) > CANCELLATION_RATIO
-    return value, terms, max_t, flag
+def _flagged(max_term: float, value: float) -> bool:
+    return max_term / max(abs(value), TINY) > CANCELLATION_RATIO
 
 
 def eval_m(p: KummerParams, z: float) -> EvalResult:
-    """Evaluate M(p.a, p.b, z).
+    """Evaluate M(p.a, p.b, z) and its z-derivative in one series pass.
 
-    Raises NonConvergent if the series needs more than MAX_TERMS terms or
-    the mpmath repair fails.
+    Each of the two values is checked and, in auto mode when flagged,
+    repaired on its own.  Raises NonConvergent if the series needs more than
+    MAX_TERMS terms or an mpmath repair fails.
     """
     if not math.isfinite(z):
         raise ValueError("z must be finite")
-    value, terms, max_t, flag = _eval_raw(p.a, p.b, z)
-    return EvalResult(value, terms, max_t, flag)
+    a, b = p.a, p.b
+    mode = _precision_mode()
+    value, deriv, terms, max_t, max_d = _sum_pair(a, b, z)
+    flag = _flagged(max_t, value)
+    dflag = _flagged(max_d, deriv)
+    if mode == "extended" or (flag and mode == "auto"):
+        value = _sum_extended(a, b, z)
+        flag = _flagged(max_t, value)
+    if mode == "extended" or (dflag and mode == "auto"):
+        deriv = a / b * _sum_extended(a + 1.0, b + 1.0, z)
+        dflag = _flagged(max_d, deriv)
+    return EvalResult(value, terms, max_t, flag, deriv, max_d, dflag)
 
 
 def eval_m_dz(p: KummerParams, z: float) -> EvalResult:
-    """Evaluate dM/dz at (p.a, p.b, z) via M'(a,b,z) = (a/b) M(a+1, b+1, z).
+    """Evaluate dM/dz at (p.a, p.b, z): the derivative half of ``eval_m``.
 
-    The reported term statistics are those of the derivative series, i.e.
-    the contiguous series scaled by a/b.
+    value, max_term_magnitude and cancellation_flag describe M' (the series
+    of u_k = (a)_{k+1} z^k / ((b)_{k+1} k!)); the derivative fields are None.
     """
-    if not math.isfinite(z):
-        raise ValueError("z must be finite")
-    scale = p.a / p.b
-    value, terms, max_t, _ = _eval_raw(p.a + 1.0, p.b + 1.0, z)
-    dvalue = scale * value
-    dmax = abs(scale) * max_t
-    flag = dmax / max(abs(dvalue), TINY) > CANCELLATION_RATIO if scale != 0.0 else False
-    return EvalResult(dvalue, terms, dmax, flag)
+    r = eval_m(p, z)
+    return EvalResult(
+        r.derivative, r.terms_used, r.derivative_max_term, r.derivative_flag
+    )
 
 
 def count_positive_roots(p: KummerParams) -> int:

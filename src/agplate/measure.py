@@ -59,14 +59,16 @@ def _phi_derivative(n: int, r: float) -> float:
 def phi_inverse(n: int, v: float) -> float:
     """Radius R with Phi(n, R) = v, for v >= 0.
 
-    Bracketed Newton with bisection fallback; the bracket upper end doubles
-    until it encloses v. Newton starts at the smaller of the bracket midpoint
-    and the upper bound (n v / beta_n)^(1/n) on the root, so tiny volumes
-    take a few steps instead of shrinking r by (1 - 1/n) per step.
+    Bracketed Newton on log Phi with bisection fallback; the bracket upper
+    end doubles until it encloses v. log Phi bends far less than Phi: it
+    grows like R^2/2 at large R and like n log R near 0, so Newton steps on
+    it land closer to the root than steps on Phi itself. Newton starts at
+    the smaller of the bracket midpoint and the upper bound
+    (n v / beta_n)^(1/n) on the root, so tiny volumes take a few steps.
     Terminates when |Phi(R) - v| <= INVERT_TOL * v, a relative test, so
     volumes far below 1 (Phi ~ R^n at R near MIN_RADIUS) still invert to
     full accuracy.  A bracket end that already passes this test is returned
-    as it is: Newton from below would overshoot it on every step.
+    as it is.
     """
     check_dimension(n)
     if not math.isfinite(v) or v < 0.0:
@@ -88,19 +90,18 @@ def phi_inverse(n: int, v: float) -> float:
     if fhi <= tol:
         return hi
 
-    # Phi(r) >= beta_n r^n / n, so the root lies at or below this bound, and
-    # Phi is convex, so Newton from above descends onto the root
+    # Phi(r) >= beta_n r^n / n, so the root lies at or below this bound
     r = min((n * v / unit_sphere_area(n)) ** (1.0 / n), 0.5 * (lo + hi))
     for _ in range(200):
-        f = phi_volume(n, r) - v
-        if abs(f) <= tol:
+        phi = phi_volume(n, r)
+        if abs(phi - v) <= tol:
             return r
-        if f > 0.0:
+        if phi > v:
             hi = r
         else:
             lo = r
-        step = f / _phi_derivative(n, r)
-        candidate = r - step
+        # Newton on log Phi: d log Phi / dR = Phi'(R) / Phi(R)
+        candidate = r - math.log(phi / v) * phi / _phi_derivative(n, r)
         # keep Newton inside the bracket, otherwise bisect
         if not (lo < candidate < hi):
             candidate = 0.5 * (lo + hi)

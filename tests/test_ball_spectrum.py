@@ -15,8 +15,10 @@ from agplate.ball_spectrum import (
     eigenvalue_curve,
     lowest_eigenvalue,
     secular_h,
+    secular_parts,
 )
 from agplate.fd_oracle import FdProblem, fd_lowest_eigenvalue
+from agplate.jab_solver import jab_condition
 from refvalues import FROZEN_DISK_EIGENVALUE, FROZEN_LAMBDA1
 
 RNG_SEED = 20260816
@@ -49,6 +51,24 @@ def test_secular_h_is_odd_bitwise():
         R = float(rng.uniform(0.2, 2.0))
         lam = float(rng.uniform(0.1, 40.0))
         assert secular_h(n, l, R, -lam) == -secular_h(n, l, R, lam)
+
+
+def test_one_series_pass_per_branch(monkeypatch):
+    # M and dM/dz come from one pass, so h_R costs two series and the pair
+    # condition F four (one per branch per radius)
+    evaluate = ball_spectrum.eval_m
+    calls = []
+
+    def counted(p, z):
+        calls.append((p, z))
+        return evaluate(p, z)
+
+    monkeypatch.setattr(ball_spectrum, "eval_m", counted)
+    secular_parts(3, 1, 0.8, 3.2)
+    assert len(calls) == 2
+    calls.clear()
+    jab_condition(3, 0.6, 0.9, 3.2)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,16 @@ from agplate import (
     eval_m,
     eval_m_dz,
 )
+from agplate.kummer import CANCELLATION_RATIO
 
 RNG_SEED = 20260816
 
 # inputs whose alternating series loses far more than half the mantissa,
 # forcing the extended-precision repair path
 EXTREME_CASES = [(20.0, 1.5, -20.0), (30.0, 0.5, -30.0), (12.0, 2.0, -25.0)]
+# the plus branch at n = 5, R = 10: M and M' cancel by ratios of 1.6e9 and
+# 3.2e10, past CANCELLATION_RATIO but below the old threshold of 1e12
+MODERATE_CASE = (-2.5, 2.5, -50.0)
 
 
 def m_ref(a, b, z, dps=50):
@@ -74,6 +78,30 @@ def test_derivative_closed_forms():
     assert eval_m_dz(KummerParams(1.0, 2.0), 1.0).value == pytest.approx(
         1.0, rel=1e-13
     )
+
+
+def test_derivative_shares_the_pass():
+    for a, b in [(0.5, 2.0), (-2.7, 1.9), (0.0, 3.0), (12.0, 2.0)]:
+        p = KummerParams(a, b)
+        assert eval_m(p, 0.0).derivative == a / b
+        for z in (-25.0, -3.3, -0.1, 0.7, 4.0):
+            r = eval_m(p, z)
+            d = eval_m_dz(p, z)
+            assert r.derivative == d.value
+            assert r.derivative_max_term == d.max_term_magnitude
+            assert r.derivative_flag == d.cancellation_flag
+            assert r.terms_used == d.terms_used
+
+
+def test_derivative_meets_closed_forms():
+    for z in (-3.0, -1.0, 0.25, 1.0, 4.0):
+        # d/dz M(a, a, z) = e^z
+        r = eval_m(KummerParams(1.5, 1.5), z)
+        assert r.derivative == pytest.approx(math.exp(z), rel=1e-14)
+        # d/dz (e^z - 1)/z = (e^z (z - 1) + 1)/z^2
+        r = eval_m(KummerParams(1.0, 2.0), z)
+        closed = (math.exp(z) * (z - 1.0) + 1.0) / (z * z)
+        assert r.derivative == pytest.approx(closed, rel=1e-13)
 
 
 def test_transformation_identity_randomized():
@@ -167,14 +195,29 @@ def test_root_count_examples():
     assert count_negative_roots(KummerParams(2.3, 2.3)) == 0
 
 
+def _ratio(max_term, value):
+    return max_term / max(abs(value), 1e-300)
+
+
 def test_cancellation_flag_iff_ratio():
     benign = eval_m(KummerParams(1.0, 2.0), 1.0)
-    assert not benign.cancellation_flag
-    assert benign.max_term_magnitude / max(abs(benign.value), 1e-300) <= 1e12
-    for a, b, z in EXTREME_CASES:
+    assert not benign.cancellation_flag and not benign.derivative_flag
+    a, b, z = MODERATE_CASE
+    moderate = eval_m(KummerParams(a, b), z)
+    for max_term, value in (
+        (moderate.max_term_magnitude, moderate.value),
+        (moderate.derivative_max_term, moderate.derivative),
+    ):
+        assert CANCELLATION_RATIO < _ratio(max_term, value) < 1e12
+    assert moderate.cancellation_flag and moderate.derivative_flag
+    for a, b, z in [(1.0, 2.0, 1.0), MODERATE_CASE] + EXTREME_CASES:
         r = eval_m(KummerParams(a, b), z)
-        assert r.cancellation_flag
-        assert r.max_term_magnitude / max(abs(r.value), 1e-300) > 1e12
+        assert r.cancellation_flag == (
+            _ratio(r.max_term_magnitude, r.value) > CANCELLATION_RATIO
+        )
+        assert r.derivative_flag == (
+            _ratio(r.derivative_max_term, r.derivative) > CANCELLATION_RATIO
+        )
 
 
 def test_extreme_cancellation_repaired():
@@ -207,6 +250,19 @@ def test_flag_bounds_the_error(case):
     ref = m_ref(a, b, z, dps=60)
     tol = 1e-13 if r.cancellation_flag else 1e-7
     assert abs(r.value - ref) <= tol * abs(ref), (r, ref)
+
+
+# the same bound for M' = (a/b) M(a + 1, b + 1, z), flagged and repaired on
+# its own; the example is the derivative half of the n = 5, R = 10 case
+@settings(deadline=None)
+@given(_pipeline_arguments())
+@example(MODERATE_CASE)
+def test_derivative_flag_bounds_the_error(case):
+    a, b, z = case
+    r = eval_m(KummerParams(a, b), z)
+    ref = (a / b) * m_ref(a + 1.0, b + 1.0, z, dps=60)
+    tol = 1e-13 if r.derivative_flag else 1e-7
+    assert abs(r.derivative - ref) <= tol * abs(ref), (r, ref)
 
 
 def test_repair_meets_closed_forms():

@@ -151,6 +151,33 @@ def test_phi_inverse_is_cheap_at_small_radii(monkeypatch):
         assert len(calls) <= 6, (n, R, len(calls))
 
 
+def test_phi_inverse_newton_on_log_phi_is_fast(monkeypatch):
+    # over 500 seeded draws the mean is 6.6 calls and the worst 8; Newton on
+    # Phi itself took 8.2 and 12, and 12 for the pinned case
+    volume = measure.phi_volume
+    calls = []
+
+    def counted(n, R):
+        calls.append(R)
+        return volume(n, R)
+
+    monkeypatch.setattr(measure, "phi_volume", counted)
+    rng = np.random.default_rng(RNG_SEED)
+    counts = []
+    for _ in range(500):
+        n = int(rng.integers(2, 6))
+        R = float(rng.uniform(0.05, 3.0))
+        v = volume(n, R)
+        calls.clear()
+        assert phi_inverse(n, v) == pytest.approx(R, rel=1e-12)
+        counts.append(len(calls))
+    assert max(counts) <= 8
+    assert sum(counts) / len(counts) <= 6.8
+    calls.clear()
+    phi_inverse(5, volume(5, 2.0123))
+    assert len(calls) == 8
+
+
 def test_phi_inverse_zero_and_rejects():
     assert phi_inverse(3, 0.0) == 0.0
     with pytest.raises(ValueError):
