@@ -72,11 +72,16 @@ class ConstantRecord:
 
 
 def c_constant(n: int, R: float, grid_points: int = GRID_POINTS) -> ConstantRecord:
-    """Evaluate C(R, n); solver failures propagate as exceptions."""
+    """Evaluate C(R, n); solver failures propagate as exceptions.
+
+    Lambda_1 comes from one cold scan of the R-ball.  Its root also warm-starts
+    the split minimization's A = 0 sample, whose root it is exactly (F at
+    A = 0 is a positive multiple of h_R), so the row scans cold only once.
+    """
     if not (math.isfinite(R) and R >= MIN_RADIUS):
         raise ValueError(f"radius must be finite and at least {MIN_RADIUS}")
     mode = lowest_eigenvalue(n, 0, R)
-    split = minimize_jab(n, R, grid_points)
+    split = minimize_jab(n, R, grid_points, lambda_hint=mode.lam)
     c_raw = split.J_min / mode.Lambda
     c = 1.0 if 1.0 < c_raw <= 1.0 + CLAMP_OVERSHOOT else c_raw
     return ConstantRecord(

@@ -27,12 +27,17 @@ B-ball.  F is symmetric under swapping (A, B) and odd in lambda.
 
 minimize_jab scans mu over the volume-constrained family: A runs over a
 uniform grid from 0 to the half-mass radius A*(R) and B is the complement
-radius, so the pair always fills the weighted volume of the R-ball.  Each grid
-point's solve is warm-started from its predecessor's root: a narrow bracket
-around that hint, sign checks that no root lies below the bracket, and a
-Brent refinement (see solve_jab).  J_min is mu at the smallest-A sample within
-ENDPOINT_TIE_REL (relative) of the lowest sampled mu, so ties go to A = 0.
-Nothing refines between samples: an interior minimum shows at grid resolution.
+radius, so the pair always fills the weighted volume of the R-ball.  The
+solves are warm-started: a narrow bracket around a hint, sign checks that no
+root lies below the bracket, and a Brent refinement (see solve_jab).  The
+A = 0 sample takes the caller's hint, if any (c_constant passes the R-ball's
+root, which is that sample's exact root), the second sample the first root,
+and each later one the linear extrapolation of the last two roots.
+jab_condition spends no series on a zero radius and one secular pass on the
+equal split, so the first and last samples are cheap.  J_min is mu at the
+smallest-A sample within ENDPOINT_TIE_REL (relative) of the lowest sampled
+mu, so ties go to A = 0.  Nothing refines between samples: an interior
+minimum shows at grid resolution.
 """
 
 from __future__ import annotations
@@ -120,7 +125,10 @@ def _half_term(
 def jab_condition(n: int, A: float, B: float, lam: float) -> float:
     """Characteristic function F(lambda) for the radii pair (A, B).
 
-    Swapping A and B returns the identical value; F is odd in lambda.
+    Swapping A and B returns the identical value; F is odd in lambda.  A
+    zero radius costs no series (its factors are exactly 1) and the equal
+    split A == B costs one secular pass, not two; both give the same bits
+    as evaluating each radius's secular_parts.
     """
     check_dimension(n)
     for radius in (A, B):
@@ -128,8 +136,14 @@ def jab_condition(n: int, A: float, B: float, lam: float) -> float:
             raise ValueError("radii must be finite and nonnegative")
     if A == 0.0 and B == 0.0:
         raise ValueError("at least one radius must be positive")
-    parts_a = secular_parts(n, 0, A, lam)
-    parts_b = secular_parts(n, 0, B, lam)
+    # M(a, b, 0) = 1 exactly and _half_term reads no derivative of a zero
+    # radius, so that radius needs no series; the equal split needs one pass
+    unit = (1.0, 1.0, 0.0, 0.0)
+    parts_a = unit if A == 0.0 else secular_parts(n, 0, A, lam)
+    if B == A:
+        parts_b = parts_a
+    else:
+        parts_b = unit if B == 0.0 else secular_parts(n, 0, B, lam)
     return _half_term(n, A, parts_a, parts_b) + _half_term(
         n, B, parts_b, parts_a
     )
@@ -216,16 +230,30 @@ def solve_jab(
     return JabSolution(A=A, B=B, n=n, lam=lam, mu=lam * lam)
 
 
-def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabRecord:
+def minimize_jab(
+    n: int,
+    R: float,
+    grid_points: int = GRID_POINTS,
+    lambda_hint: float | None = None,
+) -> MinJabRecord:
     """Minimize mu(A, B) over the volume split of the R-ball.
 
     A runs over a uniform inclusive grid of grid_points samples on
     [0, A*(R)] with B the complement radius (B = R exactly at A = 0 and
-    B = A* exactly at the equal split), each solve warm-started from the
-    previous sample's root.  J_min is mu at the smallest-A sample within
-    ENDPOINT_TIE_REL (relative) of the profile minimum: a tie goes to the
-    single ball A = 0, and roundoff dips never displace an endpoint.  With no
-    refinement between samples, an interior minimum shows at grid resolution.
+    B = A* exactly at the equal split).  Each solve is warm-started
+    (solve_jab): the A = 0 sample from lambda_hint, the second sample from
+    the first root, and every later one from the linear extrapolation
+    2 lambda_(i-1) - lambda_(i-2) along the uniform grid.  At A = 0, F is a
+    positive multiple of the R-ball's h_R, so lambda_hint = the R-ball's
+    lowest clamped root (as c_constant passes it) is that sample's exact
+    root.  As with solve_jab, a hint must lie below the R-ball's second
+    clamped root; any such hint, a wrong one included, returns the
+    certified lowest root, falling back to the cold scan when the checks
+    fail.  No hint (or a nonpositive one) starts the A = 0 sample cold.
+    J_min is mu at the smallest-A sample within ENDPOINT_TIE_REL (relative)
+    of the profile minimum: a tie goes to the single ball A = 0, and
+    roundoff dips never displace an endpoint.  With no refinement between
+    samples, an interior minimum shows at grid resolution.
     """
     check_dimension(n)
     if not (math.isfinite(R) and R > 0.0):
@@ -235,12 +263,13 @@ def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabReco
 
     a_star = half_mass_radius(n, R)
     solutions: list[JabSolution] = []
-    hint: float | None = None
+    hint = lambda_hint
     for i, a in enumerate(np.linspace(0.0, a_star, grid_points)):
         b = a_star if i == grid_points - 1 else complement_radius(n, R, float(a))
         sol = solve_jab(n, float(a), b, lambda_hint=hint)
-        hint = sol.lam
         solutions.append(sol)
+        # the grid is uniform in A: extrapolate the last two roots linearly
+        hint = sol.lam if i == 0 else 2.0 * sol.lam - solutions[-2].lam
 
     lowest = min(s.mu for s in solutions)
     best = next(

@@ -12,8 +12,9 @@ so ``eval_m`` sums M and M' in a single pass, each with its own compensated
 (Kahan) sum, and stops once both meet the relative term test.  For z < 0
 both series alternate and can cancel catastrophically; evaluation therefore
 tracks each series' largest term magnitude against its final sum and flags
-that value when the ratio exceeds ``CANCELLATION_RATIO``.  The two flags are
-independent, and so are the repairs: a flagged M is replaced by
+that value when the ratio exceeds ``CANCELLATION_RATIO`` (M' also when
+|a| < ``TINY``, where its terms underflow).  The two flags are independent,
+and so are the repairs: a flagged M is replaced by
 ``mpmath.hyp1f1(a, b, z)``, a flagged M' by (a/b) ``hyp1f1(a + 1, b + 1, z)``.
 mpmath measures the cancellation of its own series and raises its working
 precision until 17 significant digits are correct; if it cannot, the
@@ -223,7 +224,9 @@ def eval_m(p: KummerParams, z: float) -> EvalResult:
     mode = _precision_mode()
     value, deriv, terms, max_t, max_d = _sum_pair(a, b, z)
     flag = _flagged(max_t, value)
-    dflag = _flagged(max_d, deriv)
+    # with |a| < TINY every M' term starts near or below the smallest normal
+    # double and keeps few significant bits, so that sum is repaired as well
+    dflag = _flagged(max_d, deriv) or 0.0 < abs(a) < TINY
     if mode == "extended" or (flag and mode == "auto"):
         value = _sum_extended(a, b, z)
         flag = _flagged(max_t, value)

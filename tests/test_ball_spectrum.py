@@ -18,7 +18,7 @@ from agplate.ball_spectrum import (
     secular_parts,
 )
 from agplate.fd_oracle import FdProblem, fd_lowest_eigenvalue
-from agplate.jab_solver import jab_condition
+from agplate.jab_solver import _half_term, jab_condition
 from refvalues import FROZEN_DISK_EIGENVALUE, FROZEN_LAMBDA1
 
 RNG_SEED = 20260816
@@ -69,6 +69,33 @@ def test_one_series_pass_per_branch(monkeypatch):
     calls.clear()
     jab_condition(3, 0.6, 0.9, 3.2)
     assert len(calls) == 4
+
+
+def test_zero_radius_and_equal_split_skip_series(monkeypatch):
+    # a zero radius needs no series (M = 1 at z = 0), and the equal split
+    # shares one secular pass between its radii; F keeps the same bits
+    def explicit(n, A, B, lam):
+        parts_a = secular_parts(n, 0, A, lam)
+        parts_b = secular_parts(n, 0, B, lam)
+        return _half_term(n, A, parts_a, parts_b) + _half_term(
+            n, B, parts_b, parts_a
+        )
+
+    expected = [explicit(3, 0.0, 0.9, 3.2), explicit(3, 0.7, 0.7, 3.2)]
+    evaluate = ball_spectrum.eval_m
+    calls = []
+
+    def counted(p, z):
+        calls.append((p, z))
+        return evaluate(p, z)
+
+    monkeypatch.setattr(ball_spectrum, "eval_m", counted)
+    assert jab_condition(3, 0.0, 0.9, 3.2) == expected[0]
+    assert len(calls) == 2
+    assert all(z != 0.0 for _, z in calls)
+    calls.clear()
+    assert jab_condition(3, 0.7, 0.7, 3.2) == expected[1]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

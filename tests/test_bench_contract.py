@@ -37,3 +37,32 @@ def test_required_site_is_bound(site):
     home = obj.__module__ or ""
     assert home.startswith("agplate."), (site, home)
     assert home.rsplit(".", 1)[1] in tracer.LAYERS, (site, home)
+
+
+# the counting sites the benchmark's work counts read, by module binding
+COUNTED_SITES = (
+    "ball_spectrum.eval_m",
+    "jab_solver.jab_condition",
+    "jab_solver.solve_jab",
+    "measure.phi_volume",
+)
+
+
+def test_one_constant_reaches_every_counted_site(monkeypatch):
+    # a binding that exists but is routed around (say, a kernel that skips
+    # eval_m) would read 0 in the benchmark's counts; catch it here
+    calls = dict.fromkeys(COUNTED_SITES, 0)
+
+    def counted(site, fn):
+        def wrapper(*args, **kwargs):
+            calls[site] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for site in COUNTED_SITES:
+        module_name, name = site.split(".")
+        module = getattr(agplate, module_name)
+        monkeypatch.setattr(module, name, counted(site, getattr(module, name)))
+    agplate.constants.c_constant(2, 1.0)
+    assert all(calls.values()), calls

@@ -2,10 +2,11 @@
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from agplate import constants
+from agplate import constants, jab_solver
 from agplate.ball_spectrum import MIN_RADIUS, lowest_eigenvalue
 from agplate.constants import (
     CSV_HEADER,
@@ -20,6 +21,7 @@ from agplate.constants import (
     write_csv,
 )
 from agplate.errors import NoRootFound
+from agplate.jab_solver import minimize_jab
 
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -52,6 +54,21 @@ def test_strict_interior_value_regression():
     assert record.C == pytest.approx(0.9337636458470797, rel=1e-9)
     assert record.A_min == pytest.approx(1.1941548942146236, abs=1e-6)
     assert 0.0 < record.C < 1.0
+
+
+@pytest.mark.parametrize("n, R", [(2, 0.05), (3, 1.0), (5, 3.0)])
+def test_c_constant_shares_the_single_ball_root(n, R):
+    # Lambda_1's root warm-starts the A = 0 split sample, so the split
+    # minimization scans cold nowhere and still finds the unhinted minimum
+    with mock.patch.object(
+        jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
+    ) as scan:
+        record = c_constant(n, R)
+    assert scan.call_count == 0
+    unhinted = minimize_jab(n, R)
+    assert record.A_min == unhinted.A_min
+    assert record.B_min == unhinted.B_min
+    assert record.J_min == pytest.approx(unhinted.J_min, rel=1e-10)
 
 
 def test_c_constant_validation():
@@ -182,8 +199,13 @@ def test_format_is_full_precision():
 
 def test_default_grid_sweep_matches_frozen_data_at_exact_endpoints():
     # the 480-point acceptance sweep on the default grid: the frozen C under
-    # the acceptance rule, and every minimizer exactly at A = 0 or A = A*
-    live = sweep([2, 3, 4, 5], 0.05, 3.0, 120, parallel=False)
+    # the acceptance rule, every minimizer exactly at A = 0 or A = A*, and
+    # every split solve warm-started without a cold-scan fallback
+    with mock.patch.object(
+        jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
+    ) as scan:
+        live = sweep([2, 3, 4, 5], 0.05, 3.0, 120, parallel=False)
+    assert scan.call_count == 0
     frozen = read_csv(DATA_DIR / "frozen_sweep.csv")
     assert len(live) == len(frozen) == 480
     for got, ref in zip(live, frozen):

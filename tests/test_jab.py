@@ -221,6 +221,21 @@ def test_default_grid_matches_fine_grid_at_an_exact_endpoint(n, R):
     assert fine.A_min in ends
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("R", [0.05, 1.0, 3.0])
+def test_minimize_hint_returns_the_unhinted_minimum(n, R):
+    # the A = 0 sample's root is the R-ball's; hints off it by up to 50%,
+    # a zero hint and no hint all certify the same lowest root there
+    unhinted = minimize_jab(n, R)
+    lam1 = lowest_eigenvalue(n, 0, R).lam
+    hints = [f * lam1 for f in (0.5, 0.9, 1.0, 1.1, 1.5)] + [None, 0.0]
+    for hint in hints:
+        record = minimize_jab(n, R, lambda_hint=hint)
+        assert record.A_min == unhinted.A_min, hint
+        assert record.B_min == unhinted.B_min, hint
+        assert record.J_min == pytest.approx(unhinted.J_min, rel=1e-10), hint
+
+
 def test_minimize_validation():
     with pytest.raises(ValueError):
         minimize_jab(2, 0.0)
