@@ -26,25 +26,52 @@ lambda_1^2.  The clamped eigenfunction is y = r^l (M_+ + G_R M_-) with
 mixing coefficient G_R = -M_+(z)/M_-(z); M_- has no zeros at negative z,
 so G_R is always finite.
 
-Zeros are located by stepping lambda in fixed increments and refining each
-sign change with Brent's method.  The scan works in the scaled variable
-s = lambda R^2: for R < 1 the step, the starting ceiling (50) and the cap
-(6400) are all multiplied by 1/R^2, so the cost of a scan does not grow as
-the ball shrinks.  This follows the small-ball limit Lambda_1 ~ c_n / R^4
-of the Euclidean clamped plate (Ashbaugh & Benguria, Duke Math. J. 78
-(1995)): the fundamental root sits near s = sqrt(c_n), about 10.2 in the
-plane, at every small radius.  For R >= 1 the sampled lambda grid is the
-unscaled one.  A scan that finds no sign change below its cap raises
-NoRootFound.
+The lowest root is bracketed by Dirichlet eigenvalues.  The substitution
+u = exp(-r^2/4) v maps L^2(w) unitarily onto L^2, keeps the Dirichlet
+condition, and turns -L into -Delta + r^2/4 + n/2.  So the Dirichlet
+eigenvalues mu_k of -L_l on the ball of radius R satisfy
+
+    mu_k >= lb_k = j_{nu,k}^2 / R^2 + n/2,     nu = n/2 + l - 1,
+
+with j_{nu,k} the k-th positive zero of the Bessel function J_nu; the mu_k
+are the zeros of lambda -> M_+(z), where y_+ meets the Dirichlet condition.
+Let m_pm = y_pm'(R) / y_pm(R).  Between its poles, which are the mu_k, m_+ is
+strictly monotone in lambda; M_- has no zeros, so m_- is finite and monotone
+in the other direction.  Hence h_R = -M_+ M_- (m_+ - m_-) / R has no
+root in (0, mu_1] and exactly one in each interval (mu_k, mu_{k+1}):
+mu_k < lambda_k < mu_{k+1}.  The interval
+(0, lb_2] lies inside (0, mu_2), so it holds at most one root, lambda_1.
+When h_R changes sign between lb_1 and lb_2, Brent's method on that
+bracket returns the lowest root, certified.  The bracket closes for every
+radius up to about R = 4.85-6.1 (n <= 40, l <= 2), and Bessel zeros are
+constants of (n, l), computed once per order nu.  On all of R^n the same
+operator is n/2 plus a harmonic oscillator whose lowest level in the
+degree-l sector is l + n/2, and a ball's Dirichlet level lies strictly
+above the whole space's; so mu_1 > n + l, and where lb_2 <= n + l the
+bracket cannot hold lambda_1 and is not tried.
+
+Where h_R has one sign at both ends, the root lies above lb_2 and the fixed
+step scan takes over.  It steps lambda in fixed increments and refines
+the first sign change with Brent's method.  The scan works in the scaled
+variable s = lambda R^2: for R < 1 the step, the starting ceiling (50) and
+the cap (6400) are all multiplied by 1/R^2, so the cost of a scan does not
+grow as the ball shrinks.  This follows the small-ball limit
+Lambda_1 ~ c_n / R^4 of the Euclidean clamped plate (Ashbaugh & Benguria,
+Duke Math. J. 78 (1995)): the fundamental root sits near s = sqrt(c_n),
+about 10.2 in the plane, at every small radius.  For R >= 1 the sampled
+lambda grid is the unscaled one.  A scan that finds no sign change below
+its cap raises NoRootFound; only the fallback scan can raise it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import optimize, special
 from scipy.optimize import brentq
 
 from .errors import NoRootFound, check_degree, check_dimension
@@ -59,6 +86,10 @@ ROOT_XTOL = 1e-14
 ROOT_RTOL = 1e-11
 REJECT_BELOW = 1e-6
 MIN_RADIUS = 1e-3
+# relative shave that keeps a computed Bessel zero below the true one
+BESSEL_ZERO_SHAVE = 1e-12
+# brentq's smallest accepted relative tolerance
+BRENT_RTOL_MIN = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -150,13 +181,71 @@ def scan_lowest_root(f: Callable[[float], float], radius: float) -> float:
         top = min(2.0 * top, max_ceiling)
 
 
+@functools.lru_cache
+def _bessel_zeros(nu: float) -> tuple[float, float]:
+    """First two positive zeros of J_nu, shaved to sure lower bounds.
+
+    The zeros exceed nu and are more than 3 apart, so a step of 0.5 from nu
+    separates them.  They are refined with scipy's brentq under its module
+    name, which keeps this one-time work out of the Brent counts of the
+    module's own brentq binding.
+    """
+    zeros = []
+    x, fx = nu, special.jv(nu, nu)
+    while len(zeros) < 2:
+        xn = x + 0.5
+        fn = special.jv(nu, xn)
+        if (fx < 0.0) != (fn < 0.0):
+            root = optimize.brentq(
+                lambda t: special.jv(nu, t), x, xn, xtol=1e-15, rtol=BRENT_RTOL_MIN
+            )
+            zeros.append(root * (1.0 - BESSEL_ZERO_SHAVE))
+        x, fx = xn, fn
+    return zeros[0], zeros[1]
+
+
+def _bracketed_root(
+    f: Callable[[float], float], n: int, l: int, R: float
+) -> float | None:
+    """The root of f = h_R on [lb_1, lb_2], or None when it has none there."""
+    j1, j2 = _bessel_zeros(0.5 * n + l - 1.0)
+    lo = (j1 / R) ** 2 + 0.5 * n
+    hi = (j2 / R) ** 2 + 0.5 * n
+    if hi <= n + l:  # lambda_1 > mu_1 > n + l
+        return None
+    ends = {lo: f(lo), hi: f(hi)}
+    if not ((ends[lo] < 0.0 < ends[hi]) or (ends[hi] < 0.0 < ends[lo])):
+        return None
+    # brentq starts by evaluating both ends again; hand it these values
+    return brentq(
+        lambda t: ends.pop(t) if t in ends else f(t),
+        lo,
+        hi,
+        xtol=ROOT_XTOL,
+        rtol=BRENT_RTOL_MIN,
+    )
+
+
 def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:
-    """Fundamental clamped eigenvalue on the ball of radius R, degree l."""
+    """Fundamental clamped eigenvalue on the ball of radius R, degree l.
+
+    The root is bracketed by the Dirichlet lower bounds lb_1 and lb_2 (see
+    the module docstring).  When h_R changes sign between them, Brent's
+    method refines the one root there, which is certified to be the lowest;
+    otherwise scan_lowest_root finds it, and only then can NoRootFound be
+    raised.
+    """
     check_dimension(n)
     check_degree(l)
     if not (math.isfinite(R) and R >= MIN_RADIUS):
         raise ValueError(f"radius must be finite and at least {MIN_RADIUS}")
-    lam = scan_lowest_root(lambda t: secular_h(n, l, R, t), radius=R)
+
+    def f(t: float) -> float:
+        return secular_h(n, l, R, t)
+
+    lam = _bracketed_root(f, n, l, R)
+    if lam is None:
+        lam = scan_lowest_root(f, radius=R)
     m_p, m_m, _, _ = secular_parts(n, l, R, lam)
     return SpectralMode(l=l, lam=lam, Lambda=lam * lam, G_R=-m_p / m_m)
 

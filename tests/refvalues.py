@@ -1,9 +1,8 @@
-"""Frozen self-generated reference values for regression tests.
+"""Frozen reference values for regression tests.
 
-Every number here was produced by this package itself (or an independent
-mesh study inside it), verified once against an independent route, and
-then frozen.  Tests compare against these values with loose tolerances so
-genuine regressions surface while root-finder-level jitter does not.
+Each number was computed once, by the route named below, and then frozen.
+Tests compare against these values with tolerances loose enough for
+root-finder-level jitter and tight enough for genuine regressions.
 
 FROZEN_DISK_EIGENVALUE: fundamental clamped eigenvalue of the unweighted
 unit disk, from Richardson extrapolation of fd_lowest_eigenvalue over
@@ -11,17 +10,22 @@ meshes 2000/4000 (n=2, l=0, R=1, flat weight); consistent with the
 1000/2000 extrapolation to 4e-8.
 
 FROZEN_LAMBDA1: fundamental clamped eigenvalues under the exp(r^2/2)
-weight, keyed by (n, l, R), from the secular-function pipeline, cross
-checked against the finite-difference oracle at generation time.
+weight, keyed by (n, l, R).  Each is Lambda = lambda^2 with lambda the root
+of the boundary determinant h_R found by mpmath.findroot at 40 significant
+digits, h_R built from mpmath.hyp1f1 alone (as reference_h in
+test_ball_spectrum.py) and started from the series pipeline's root; no
+agplate code enters the value.  These replace values that carried the
+fixed-step scan's Brent error (4.5e-12 relative at (2, 0, 1), 1.5e-12 at
+(3, 0, 1)).
 """
 
 FROZEN_DISK_EIGENVALUE = 104.36310556184917
 
 FROZEN_LAMBDA1 = {
-    (2, 0, 1.0): 119.5460276314993,
-    (3, 0, 1.0): 275.4546287395612,
-    (4, 0, 1.0): 525.0553880377677,
-    (5, 0, 1.0): 893.0891820362567,
-    (2, 1, 1.0): 488.4330285000411,
-    (3, 1, 1.0): 843.5459856060174,
+    (2, 0, 1.0): 119.54602763204223,
+    (3, 0, 1.0): 275.45462873996735,
+    (4, 0, 1.0): 525.0553880377342,
+    (5, 0, 1.0): 893.0891820362397,
+    (2, 1, 1.0): 488.43302850013697,
+    (3, 1, 1.0): 843.5459856060205,
 }

@@ -6,6 +6,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from agplate import ball_spectrum
 from agplate.ball_spectrum import (
@@ -14,11 +17,13 @@ from agplate.ball_spectrum import (
     eigenfunction_profile,
     eigenvalue_curve,
     lowest_eigenvalue,
+    scan_lowest_root,
     secular_h,
     secular_parts,
 )
 from agplate.fd_oracle import FdProblem, fd_lowest_eigenvalue
 from agplate.jab_solver import _half_term, jab_condition
+from closedform import bessel_zero, plate_zero
 from refvalues import FROZEN_DISK_EIGENVALUE, FROZEN_LAMBDA1
 
 RNG_SEED = 20260816
@@ -223,6 +228,72 @@ def test_small_radii_match_mesh_oracle(n):
         exact = lowest_eigenvalue(n, l, R).Lambda
         mesh = fd_lowest_eigenvalue(FdProblem(n, l, R, 4000))
         assert exact == pytest.approx(mesh, rel=2e-6), (n, l, R)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 20, 40])
+def test_min_radius_matches_flat_plate_closed_form(n):
+    # at R = 1e-3 the weight is flat to 1e-6: Lambda_1 R^4 -> k^4
+    for l in (0, 1, 2):
+        k = plate_zero(0.5 * n + l - 1.0)
+        scaled = lowest_eigenvalue(n, l, MIN_RADIUS).Lambda * MIN_RADIUS**4
+        assert scaled == pytest.approx(k**4, rel=1e-6), (n, l)
+
+
+def test_roots_interlace_with_dirichlet_eigenvalues():
+    # r^2/4 lies in [0, R^2/4], so the k-th Dirichlet eigenvalue mu_k (a zero
+    # of lambda -> M_+) lies in [lb_k, lb_k + R^2/4]; mu_1 sits above the
+    # whole-space level n + l, and mu_1 < lambda_1 < mu_2
+    for n, l, R in itertools.product((2, 3, 5, 8), (0, 1, 2), (1e-3, 0.1, 1, 2, 3)):
+        nu = 0.5 * n + l - 1.0
+
+        def m_plus(t):
+            return secular_parts(n, l, R, t)[0]
+
+        mu = []
+        for k in (1, 2):
+            lb = (bessel_zero(nu, k) / R) ** 2 + 0.5 * n
+            ub = lb + 0.25 * R * R
+            assert m_plus(lb) * m_plus(ub) < 0.0, (n, l, R, k)
+            mu.append(brentq(m_plus, lb, ub, xtol=1e-300, rtol=1e-15))
+        lam = lowest_eigenvalue(n, l, R).lam
+        assert n + l < mu[0] < lam < mu[1], (n, l, R)
+
+
+def count_scans(monkeypatch):
+    calls = []
+    scan = ball_spectrum.scan_lowest_root
+
+    def counted(f, radius):
+        calls.append(radius)
+        return scan(f, radius)
+
+    monkeypatch.setattr(ball_spectrum, "scan_lowest_root", counted)
+    return calls
+
+
+def test_open_bracket_falls_back_to_the_scan(monkeypatch):
+    # at R = 6 the root lies above the Dirichlet bound lb_2 (1.85 < n + l),
+    # so the fixed-step scan answers, with the same bits
+    calls = count_scans(monkeypatch)
+    mode = lowest_eigenvalue(2, 0, 6.0)
+    assert len(calls) == 1
+    assert mode.lam == scan_lowest_root(lambda t: secular_h(2, 0, 6.0, t), 6.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 8),
+    l=st.integers(0, 3),
+    log_r=st.floats(math.log(MIN_RADIUS), math.log(3.0)),
+)
+def test_bracketed_root_matches_the_scan(n, l, log_r):
+    R = math.exp(log_r)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_scans(monkeypatch)
+        lam = lowest_eigenvalue(n, l, R).lam
+    assert calls == []
+    scanned = scan_lowest_root(lambda t: secular_h(n, l, R, t), R)
+    assert lam == pytest.approx(scanned, rel=1e-10)
 
 
 def test_scan_work_does_not_grow_as_radius_shrinks(monkeypatch):

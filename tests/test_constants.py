@@ -22,6 +22,7 @@ from agplate.constants import (
 )
 from agplate.errors import NoRootFound
 from agplate.jab_solver import minimize_jab
+from closedform import bessel_zero, plate_zero
 
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -54,6 +55,15 @@ def test_strict_interior_value_regression():
     assert record.C == pytest.approx(0.9337636458470797, rel=1e-9)
     assert record.A_min == pytest.approx(1.1941548942146236, abs=1e-6)
     assert 0.0 < record.C < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 20, 40])
+def test_min_radius_constant_matches_flat_two_ball_closed_form(n):
+    # as R -> 0, C tends to the Euclidean Ashbaugh-Benguria two-ball
+    # constant: the even split's j^4 at radius 2^(-1/n) R against k^4
+    nu = 0.5 * n - 1.0
+    flat = min(1.0, 2.0 ** (4.0 / n) * bessel_zero(nu, 1) ** 4 / plate_zero(nu) ** 4)
+    assert c_constant(n, MIN_RADIUS).C == pytest.approx(flat, rel=1e-6)
 
 
 @pytest.mark.parametrize("n, R", [(2, 0.05), (3, 1.0), (5, 3.0)])
