@@ -250,6 +250,29 @@ def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:
     return SpectralMode(l=l, lam=lam, Lambda=lam * lam, G_R=-m_p / m_m)
 
 
+def lowest_dirichlet_root(n: int, X: float) -> float | None:
+    """mu_D1(X), the lowest zero of lambda -> M(lambda/2, n/2, -X^2/2), or None.
+
+    This is the first radial Dirichlet frequency of -L on the ball of radius
+    X (the zeros in lambda of M_+ at l = 0 are the mu_k, and they are
+    simple).  It is found on the same bracket as the clamped root: mu_k >=
+    lb_k by the unitary map of the module docstring, and M_+ = 1 at
+    lambda = 0, so M_+ > 0 on [0, mu_1).  (0, lb_2] lies inside (0, mu_2)
+    and holds at most mu_1, so a sign change on [lb_1, lb_2] brackets
+    mu_1, which Brent's method refines.  mu_1 > n, the whole space's
+    lowest level, so the lb_2 <= n skip holds as well.  None means the
+    bracket did not close (large X).
+    """
+    check_dimension(n)
+    if not (math.isfinite(X) and X > 0.0):
+        raise ValueError("radius must be finite and positive")
+
+    def f(t: float) -> float:
+        return eval_m(KummerParams(0.5 * t, 0.5 * n), -0.5 * X * X).value
+
+    return _bracketed_root(f, n, 0, X)
+
+
 def eigenvalue_curve(
     n: int, l: int, radii: Sequence[float]
 ) -> list[tuple[float, float]]:

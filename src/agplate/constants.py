@@ -41,7 +41,9 @@ from typing import Iterable, Sequence
 
 from .ball_spectrum import MIN_RADIUS, lowest_eigenvalue
 from .errors import NonConvergent, NoRootFound
-from .jab_solver import GRID_POINTS, minimize_jab
+from .jab_solver import GRID_POINTS, split_minimum
+# not called here, but perfbench/tracer.py requires this binding
+from .jab_solver import minimize_jab  # noqa: F401
 
 CLAMP_OVERSHOOT = 1e-8
 CSV_HEADER = "n,R,Lambda1,lambda1,A_min,B_min,J_min,C,C_raw,status"
@@ -74,24 +76,27 @@ class ConstantRecord:
 def c_constant(n: int, R: float, grid_points: int = GRID_POINTS) -> ConstantRecord:
     """Evaluate C(R, n); solver failures propagate as exceptions.
 
-    Lambda_1 comes from one cold scan of the R-ball.  Its root also warm-starts
-    the split minimization's A = 0 sample, whose root it is exactly (F at
-    A = 0 is a positive multiple of h_R), so the row scans cold only once.
+    Lambda_1 comes from lowest_eigenvalue on the R-ball.  Its root is the
+    A = 0 endpoint of the split minimization (F at A = 0 is a positive
+    multiple of h_R), which split_minimum takes as it is; the other endpoint
+    is the equal split's Dirichlet root, and each interior sample of
+    minimize_jab's grid is ruled out by one sign of F where it can be
+    (see jab_solver).
     """
     if not (math.isfinite(R) and R >= MIN_RADIUS):
         raise ValueError(f"radius must be finite and at least {MIN_RADIUS}")
     mode = lowest_eigenvalue(n, 0, R)
-    split = minimize_jab(n, R, grid_points, lambda_hint=mode.lam)
-    c_raw = split.J_min / mode.Lambda
+    A_min, B_min, J_min = split_minimum(n, R, mode.lam, grid_points)
+    c_raw = J_min / mode.Lambda
     c = 1.0 if 1.0 < c_raw <= 1.0 + CLAMP_OVERSHOOT else c_raw
     return ConstantRecord(
         n=n,
         R=R,
         Lambda1=mode.Lambda,
         lambda1=mode.lam,
-        A_min=split.A_min,
-        B_min=split.B_min,
-        J_min=split.J_min,
+        A_min=A_min,
+        B_min=B_min,
+        J_min=J_min,
         C=c,
         C_raw=c_raw,
         status=STATUS_OK,

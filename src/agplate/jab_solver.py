@@ -25,19 +25,44 @@ mu = lambda^2 at the smallest positive root.  A zero radius contributes
 exactly zero to F, so mu(0, B) is the fundamental clamped eigenvalue of the
 B-ball.  F is symmetric under swapping (A, B) and odd in lambda.
 
-minimize_jab scans mu over the volume-constrained family: A runs over a
-uniform grid from 0 to the half-mass radius A*(R) and B is the complement
-radius, so the pair always fills the weighted volume of the R-ball.  The
-solves are warm-started: a narrow bracket around a hint, sign checks that no
-root lies below the bracket, and a Brent refinement (see solve_jab).  The
-A = 0 sample takes the caller's hint, if any (c_constant passes the R-ball's
-root, which is that sample's exact root), the second sample the first root,
-and each later one the linear extrapolation of the last two roots.
-jab_condition spends no series on a zero radius and one secular pass on the
-equal split, so the first and last samples are cheap.  J_min is mu at the
-smallest-A sample within ENDPOINT_TIE_REL (relative) of the lowest sampled
-mu, so ties go to A = 0.  Nothing refines between samples: an interior
-minimum shows at grid resolution.
+The equal split is a Dirichlet problem.  Drop the matched slope, and the
+pair decouples into two Navier problems (v = L v = 0 at each wall); their
+frequencies are the Dirichlet frequencies mu_{D,k}(A) and mu_{D,k}(B), the
+zeros of lambda -> M(lambda/2, n/2, -X^2/2) (ball_spectrum's
+lowest_dirichlet_root finds the first).  Merge them into nu_1 <= nu_2 <= ...
+The matched slope is one linear constraint, so by min-max
+nu_k <= lambda_k(A, B) <= nu_(k+1).  At A = B, nu_1 = nu_2 = mu_D1(A), so
+lambda(A, A) = mu_D1(A): solve_jab returns that root directly.
+
+The split minimum is certified from its two endpoints.  All the premises
+below rest on one more: F's positive roots are the pair's eigenvalue
+frequencies lambda_k(A, B), each a simple root, and F > 0 just above
+lambda = 0 (there h_X ~ (lambda / b) M(1, b + 1, -X^2/2) > 0 and
+M_+ M_- ~ 1).  Let lambda_end = min(lambda_1(R), mu_D1(A*)), the smaller
+endpoint root.  For an interior split 0 < A < A* < B, nu_2 >=
+min(mu_D1(A), mu_D2(B)) >= min(lb_1(A), lb_2(B)) with lb_k(X) =
+j_{n/2-1,k}^2 / X^2 + n/2 (see ball_spectrum).  When lambda_end lies below
+that bound, (0, lambda_end] holds at most lambda_1(A, B); F(lambda_end) > 0
+leaves an even number of roots there, hence none, and mu(A, B) >
+lambda_end^2, which is at least the lower endpoint's mu.  split_minimum
+(what c_constant uses) therefore spends one F evaluation on each interior
+sample that passes, and solves only the samples that fail.  The
+certificate does not rely on the endpoint roots being right: a certified
+sample lies above whatever the endpoints returned.
+
+minimize_jab keeps the whole profile: A runs over a uniform grid from 0 to
+the half-mass radius A*(R) and B is the complement radius, so the pair
+always fills the weighted volume of the R-ball.  The solves are
+warm-started: a narrow bracket around a hint, sign checks that no root lies
+below the bracket, and a Brent refinement (see solve_jab).  The A = 0
+sample starts from the R-ball's clamped root, which is that sample's exact
+root, the second sample from the first root, and each later one from the
+linear extrapolation of the last two roots; the last sample, the equal
+split, is the Dirichlet root.  jab_condition spends no series on a zero
+radius and one secular pass on the equal split.  In both routines J_min is
+mu at the smallest-A sample within ENDPOINT_TIE_REL (relative) of the
+lowest sampled mu, so ties go to A = 0.  Nothing refines between samples:
+an interior minimum shows at grid resolution.
 """
 
 from __future__ import annotations
@@ -51,6 +76,9 @@ from scipy.optimize import brentq
 from .ball_spectrum import (
     ROOT_RTOL,
     ROOT_XTOL,
+    _bessel_zeros,
+    lowest_dirichlet_root,
+    lowest_eigenvalue,
     scan_lowest_root,
     secular_h,
     secular_parts,
@@ -196,19 +224,25 @@ def solve_jab(
 ) -> JabSolution:
     """Smallest positive root of the pair condition, as a JabSolution.
 
-    Without a hint the root comes from the cold upward scan.  With
-    lambda_hint (a warm start along a continuation path), F is sampled at
-    hint * (1 -/+ 2e-3), and the bracket widens by HINT_WIDEN until the
-    samples change sign.  The lower end lo of the lowest bracket must then
-    pass two sign checks: F(lo) > 0 (an even number of roots below lo) and
-    h(lo) > 0 for the larger ball (lo below its lowest clamped root, which
-    bounds the pair's second root from below).  Brent refines a bracket
-    that passes.  The cold scan takes over when no bracket appears within
-    hint * (1 -/+ 0.25) and when a check fails.  Each F value is computed
-    once per solve, so Brent's and the cold scan's repeated evaluations of
-    a point cost nothing.
+    At the equal split A == B > 0 the root is mu_D1(A) (module docstring),
+    taken from ball_spectrum.lowest_dirichlet_root; where that bracket does
+    not close, the general path below runs.  Without a hint the root comes
+    from the cold upward scan.  With lambda_hint (a warm start along a
+    continuation path), F is sampled at hint * (1 -/+ 2e-3), and the
+    bracket widens by HINT_WIDEN until the samples change sign.  The lower
+    end lo of the lowest bracket must then pass two sign checks: F(lo) > 0
+    (an even number of roots below lo) and h(lo) > 0 for the larger ball
+    (lo below its lowest clamped root, which bounds the pair's second root
+    from below).  Brent refines a bracket that passes.  The cold scan takes
+    over when no bracket appears within hint * (1 -/+ 0.25) and when a
+    check fails.  Each F value is computed once per solve, so Brent's and
+    the cold scan's repeated evaluations of a point cost nothing.
     """
     check_dimension(n)
+    if A == B and A > 0.0:
+        lam = lowest_dirichlet_root(n, A)
+        if lam is not None:
+            return JabSolution(A=A, B=B, n=n, lam=lam, mu=lam * lam)
     memo: dict[float, float] = {}
 
     def f(lam: float) -> float:
@@ -230,40 +264,41 @@ def solve_jab(
     return JabSolution(A=A, B=B, n=n, lam=lam, mu=lam * lam)
 
 
-def minimize_jab(
-    n: int,
-    R: float,
-    grid_points: int = GRID_POINTS,
-    lambda_hint: float | None = None,
-) -> MinJabRecord:
-    """Minimize mu(A, B) over the volume split of the R-ball.
-
-    A runs over a uniform inclusive grid of grid_points samples on
-    [0, A*(R)] with B the complement radius (B = R exactly at A = 0 and
-    B = A* exactly at the equal split).  Each solve is warm-started
-    (solve_jab): the A = 0 sample from lambda_hint, the second sample from
-    the first root, and every later one from the linear extrapolation
-    2 lambda_(i-1) - lambda_(i-2) along the uniform grid.  At A = 0, F is a
-    positive multiple of the R-ball's h_R, so lambda_hint = the R-ball's
-    lowest clamped root (as c_constant passes it) is that sample's exact
-    root.  As with solve_jab, a hint must lie below the R-ball's second
-    clamped root; any such hint, a wrong one included, returns the
-    certified lowest root, falling back to the cold scan when the checks
-    fail.  No hint (or a nonpositive one) starts the A = 0 sample cold.
-    J_min is mu at the smallest-A sample within ENDPOINT_TIE_REL (relative)
-    of the profile minimum: a tie goes to the single ball A = 0, and
-    roundoff dips never displace an endpoint.  With no refinement between
-    samples, an interior minimum shows at grid resolution.
-    """
+def _check_split(n: int, R: float, grid_points: int) -> None:
     check_dimension(n)
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError("radius must be finite and positive")
     if grid_points < 16:
         raise ValueError("need at least 16 grid points")
 
+
+def _lowest_sample(samples):
+    """The smallest-A (A, B, mu) within ENDPOINT_TIE_REL of the lowest mu."""
+    lowest = min(mu for _, _, mu in samples)
+    return next(s for s in samples if s[2] - lowest <= ENDPOINT_TIE_REL * lowest)
+
+
+def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabRecord:
+    """Minimize mu(A, B) over the volume split of the R-ball, full profile.
+
+    A runs over a uniform inclusive grid of grid_points samples on
+    [0, A*(R)] with B the complement radius (B = R exactly at A = 0 and
+    B = A* exactly at the equal split).  Each solve is warm-started
+    (solve_jab): the A = 0 sample from the R-ball's lowest clamped root
+    (lowest_eigenvalue), which is that sample's exact root because F at
+    A = 0 is a positive multiple of h_R; the second sample from the first
+    root; and every later one from the linear extrapolation
+    2 lambda_(i-1) - lambda_(i-2) along the uniform grid.  The equal split
+    gets the Dirichlet root mu_D1(A*) through solve_jab.  J_min is mu at
+    the smallest-A sample within ENDPOINT_TIE_REL (relative) of the profile
+    minimum: a tie goes to the single ball A = 0, and roundoff dips never
+    displace an endpoint.  With no refinement between samples, an interior
+    minimum shows at grid resolution.
+    """
+    _check_split(n, R, grid_points)
     a_star = half_mass_radius(n, R)
     solutions: list[JabSolution] = []
-    hint = lambda_hint
+    hint = lowest_eigenvalue(n, 0, R).lam
     for i, a in enumerate(np.linspace(0.0, a_star, grid_points)):
         b = a_star if i == grid_points - 1 else complement_radius(n, R, float(a))
         sol = solve_jab(n, float(a), b, lambda_hint=hint)
@@ -271,11 +306,40 @@ def minimize_jab(
         # the grid is uniform in A: extrapolate the last two roots linearly
         hint = sol.lam if i == 0 else 2.0 * sol.lam - solutions[-2].lam
 
-    lowest = min(s.mu for s in solutions)
-    best = next(
-        s for s in solutions if s.mu - lowest <= ENDPOINT_TIE_REL * lowest
-    )
+    A_min, B_min, J_min = _lowest_sample([(s.A, s.B, s.mu) for s in solutions])
     return MinJabRecord(
-        R=R, n=n, A_min=best.A, B_min=best.B, J_min=best.mu,
+        R=R, n=n, A_min=A_min, B_min=B_min, J_min=J_min,
         profile=tuple((s.A, s.B, s.lam) for s in solutions),
     )
+
+
+def split_minimum(
+    n: int, R: float, lambda_1: float, grid_points: int = GRID_POINTS
+) -> tuple[float, float, float]:
+    """The minimizing (A, B, mu) of minimize_jab's grid, from its endpoints.
+
+    lambda_1 is the R-ball's lowest clamped root, the A = 0 sample's root.
+    The equal split's root is mu_D1(A*) (solve_jab), and lambda_end is the
+    smaller of the two.  Every interior sample of minimize_jab's grid is
+    first tried against the certificate of the module docstring:
+    lambda_end < min(lb_1(A), lb_2(B)) and F(lambda_end) > 0 put its root
+    above lambda_end, so it cannot be the minimum.  A sample that fails is
+    solved, warm-started from lambda_end, and joins the candidates.  The
+    minimum among the endpoints and the solved samples is picked by
+    minimize_jab's rule, so the two agree on the minimizer.
+    """
+    _check_split(n, R, grid_points)
+    a_star = half_mass_radius(n, R)
+    end = solve_jab(n, a_star, a_star)
+    lam_end = min(lambda_1, end.lam)
+    j1, j2 = _bessel_zeros(0.5 * n - 1.0)
+    samples = [(0.0, R, lambda_1 * lambda_1)]
+    for a in np.linspace(0.0, a_star, grid_points)[1:-1]:
+        a = float(a)
+        b = complement_radius(n, R, a)
+        bound = min((j1 / a) ** 2, (j2 / b) ** 2) + 0.5 * n
+        if lam_end < bound and jab_condition(n, a, b, lam_end) > 0.0:
+            continue
+        samples.append((a, b, solve_jab(n, a, b, lambda_hint=lam_end).mu))
+    samples.append((a_star, a_star, end.mu))
+    return _lowest_sample(samples)

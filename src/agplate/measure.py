@@ -56,19 +56,47 @@ def _phi_derivative(n: int, r: float) -> float:
     return unit_sphere_area(n) * math.exp(0.5 * r * r) * r ** (n - 1)
 
 
+def _volume_start(n: int, v: float) -> float:
+    """Root of beta_n r^n e^(r^2/2) / (r^2 + n) = v, by Newton on its log.
+
+    M(a, a + 1, x) ~ a e^x / (x + a) at both ends (it is 1 at x = 0 and
+    a e^x / x to leading order as x grows), so this closed form matches Phi
+    for small and for large r and its root is a start for phi_inverse that
+    costs no series.  In u = log r the log of the left side minus log v,
+
+        g(u) = log(beta_n / v) + n u + r^2/2 - log(r^2 + n),
+
+    is increasing and convex for n >= 2.  g >= 0 at the small-volume bound
+    r = (n v / beta_n)^(1/n), and, when L = log(v / beta_n) >= 1/2, also at
+    r^2 = 2 L + 2 log(1 + n / (2 L)).  Newton from the smaller of the two
+    descends to the root without overshooting it.
+    """
+    L = math.log(v) - math.log(unit_sphere_area(n))
+    u = (math.log(n) + L) / n
+    if L >= 0.5:
+        u = min(u, 0.5 * math.log(2.0 * L + 2.0 * math.log1p(0.5 * n / L)))
+    for _ in range(100):
+        r2 = math.exp(2.0 * u)
+        g = n * u + 0.5 * r2 - math.log(r2 + n) - L
+        step = g / (n + r2 - 2.0 * r2 / (r2 + n))
+        u -= step
+        if abs(step) <= 1e-12:
+            break
+    return math.exp(u)
+
+
 def phi_inverse(n: int, v: float) -> float:
     """Radius R with Phi(n, R) = v, for v >= 0.
 
-    Bracketed Newton on log Phi with bisection fallback; the bracket upper
-    end doubles until it encloses v. log Phi bends far less than Phi: it
-    grows like R^2/2 at large R and like n log R near 0, so Newton steps on
-    it land closer to the root than steps on Phi itself. Newton starts at
-    the smaller of the bracket midpoint and the upper bound
-    (n v / beta_n)^(1/n) on the root, so tiny volumes take a few steps.
-    Terminates when |Phi(R) - v| <= INVERT_TOL * v, a relative test, so
-    volumes far below 1 (Phi ~ R^n at R near MIN_RADIUS) still invert to
-    full accuracy.  A bracket end that already passes this test is returned
-    as it is.
+    Newton on log Phi from the closed-form start of _volume_start, with a
+    bisection fallback.  log Phi bends far less than Phi: it grows like
+    R^2/2 at large R and like n log R near 0, so Newton steps on it land
+    closer to the root than steps on Phi itself.  The bracket is found on
+    the way: each Phi(R) above v lowers its upper end, and a Newton step
+    that leaves the bracket bisects it, or doubles R while no Phi(R) has
+    exceeded v yet.  Terminates when |Phi(R) - v| <= INVERT_TOL * v, a
+    relative test, so volumes far below 1 (Phi ~ R^n at R near MIN_RADIUS)
+    still invert to full accuracy.
     """
     check_dimension(n)
     if not math.isfinite(v) or v < 0.0:
@@ -77,21 +105,8 @@ def phi_inverse(n: int, v: float) -> float:
         return 0.0
 
     tol = INVERT_TOL * v
-    lo, hi = 0.0, 1.0
-    fhi = phi_volume(n, hi) - v
-    doublings = 0
-    while fhi < -tol:
-        lo = hi
-        hi *= 2.0
-        fhi = phi_volume(n, hi) - v
-        doublings += 1
-        if doublings > 60:
-            raise ValueError("target volume too large to bracket")
-    if fhi <= tol:
-        return hi
-
-    # Phi(r) >= beta_n r^n / n, so the root lies at or below this bound
-    r = min((n * v / unit_sphere_area(n)) ** (1.0 / n), 0.5 * (lo + hi))
+    lo, hi = 0.0, math.inf
+    r = _volume_start(n, v)
     for _ in range(200):
         phi = phi_volume(n, r)
         if abs(phi - v) <= tol:
@@ -102,9 +117,9 @@ def phi_inverse(n: int, v: float) -> float:
             lo = r
         # Newton on log Phi: d log Phi / dR = Phi'(R) / Phi(R)
         candidate = r - math.log(phi / v) * phi / _phi_derivative(n, r)
-        # keep Newton inside the bracket, otherwise bisect
+        # keep Newton inside the bracket, otherwise bisect (or double r)
         if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
+            candidate = 2.0 * r if hi == math.inf else 0.5 * (lo + hi)
         r = candidate
     raise RuntimeError("inversion failed to converge")  # pragma: no cover
 

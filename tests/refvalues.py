@@ -17,6 +17,16 @@ test_ball_spectrum.py) and started from the series pipeline's root; no
 agplate code enters the value.  These replace values that carried the
 fixed-step scan's Brent error (4.5e-12 relative at (2, 0, 1), 1.5e-12 at
 (3, 0, 1)).
+
+FROZEN_LARGE_R_C: C(R, n) above R = 4.6, keyed by (n, R).  Each is
+min(1, mu_D1(A*)^2 / Lambda_1(R)) at 40 significant digits, all from
+mpmath: A* by mpmath.findroot on Phi(A) = Phi(R)/2 with Phi =
+beta_n R^n / n * hyp1f1(n/2, n/2 + 1, R^2/2); mu_D1(A*) as
+closedform.dirichlet_reference; Lambda_1 = lambda_1^2 with lambda_1 the root
+of h_R (as reference_h in test_ball_spectrum.py, at 40 digits) by
+mpmath.findroot started from the series pipeline's root, and h_R of one
+sign at 400 points below it.  Where the equal split wins, C is the
+equal-split root against the single ball's.
 """
 
 FROZEN_DISK_EIGENVALUE = 104.36310556184917
@@ -28,4 +38,12 @@ FROZEN_LAMBDA1 = {
     (5, 0, 1.0): 893.0891820362397,
     (2, 1, 1.0): 488.43302850013697,
     (3, 1, 1.0): 843.5459856060205,
+}
+
+FROZEN_LARGE_R_C = {
+    (2, 4.6): 0.99820171853254572,
+    (2, 5.0): 0.99959982904441894,
+    (2, 5.4): 0.99992760333409429,
+    (3, 4.8): 0.99873448529605627,
+    (3, 5.0): 0.9993854957886734,
 }

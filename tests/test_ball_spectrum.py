@@ -16,6 +16,7 @@ from agplate.ball_spectrum import (
     SpectralMode,
     eigenfunction_profile,
     eigenvalue_curve,
+    lowest_dirichlet_root,
     lowest_eigenvalue,
     scan_lowest_root,
     secular_h,
@@ -23,7 +24,7 @@ from agplate.ball_spectrum import (
 )
 from agplate.fd_oracle import FdProblem, fd_lowest_eigenvalue
 from agplate.jab_solver import _half_term, jab_condition
-from closedform import bessel_zero, plate_zero
+from closedform import bessel_zero, dirichlet_reference, plate_zero
 from refvalues import FROZEN_DISK_EIGENVALUE, FROZEN_LAMBDA1
 
 RNG_SEED = 20260816
@@ -312,7 +313,27 @@ def test_scan_work_does_not_grow_as_radius_shrinks(monkeypatch):
             assert 0 < calls <= 300, (n, l, R, calls)
 
 
+def test_dirichlet_root_matches_mpmath():
+    for n in (2, 3, 4, 5, 6, 8, 12, 20, 40):
+        for X in (7e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0):
+            lam = lowest_dirichlet_root(n, X)
+            if lam is None:
+                # the bracket stays open only at the largest radius
+                assert X == 5.0, (n, X)
+                continue
+            assert lam == pytest.approx(dirichlet_reference(n, X), rel=1e-13)
+
+
+def test_dirichlet_root_lies_below_the_clamped_root():
+    # mu_1 < lambda_1 < mu_2 (module docstring), and mu_1 > n
+    for n, X in [(2, 0.3), (3, 1.0), (5, 2.5)]:
+        mu = lowest_dirichlet_root(n, X)
+        assert n < mu < lowest_eigenvalue(n, 0, X).lam
+
+
 def test_validation_errors():
+    with pytest.raises(ValueError):
+        lowest_dirichlet_root(2, 0.0)
     with pytest.raises(ValueError):
         lowest_eigenvalue(1, 0, 1.0)
     with pytest.raises(ValueError):

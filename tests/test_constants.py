@@ -5,6 +5,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agplate import constants, jab_solver
 from agplate.ball_spectrum import MIN_RADIUS, lowest_eigenvalue
@@ -23,6 +25,7 @@ from agplate.constants import (
 from agplate.errors import NoRootFound
 from agplate.jab_solver import minimize_jab
 from closedform import bessel_zero, plate_zero
+from refvalues import FROZEN_LARGE_R_C
 
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -68,8 +71,8 @@ def test_min_radius_constant_matches_flat_two_ball_closed_form(n):
 
 @pytest.mark.parametrize("n, R", [(2, 0.05), (3, 1.0), (5, 3.0)])
 def test_c_constant_shares_the_single_ball_root(n, R):
-    # Lambda_1's root warm-starts the A = 0 split sample, so the split
-    # minimization scans cold nowhere and still finds the unhinted minimum
+    # Lambda_1's root is the A = 0 endpoint of the split minimum, so the
+    # row scans cold nowhere and still finds minimize_jab's minimum
     with mock.patch.object(
         jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
     ) as scan:
@@ -79,6 +82,30 @@ def test_c_constant_shares_the_single_ball_root(n, R):
     assert record.A_min == unhinted.A_min
     assert record.B_min == unhinted.B_min
     assert record.J_min == pytest.approx(unhinted.J_min, rel=1e-10)
+
+
+# the example is a row with two interior samples that fail the endpoint
+# certificate and are solved
+@settings(deadline=None, max_examples=25)
+@given(
+    n=st.integers(2, 8),
+    log_r=st.floats(math.log(0.05), math.log(3.5)),
+)
+@example(n=2, log_r=math.log(3.0))
+def test_c_constant_minimum_matches_the_full_profile(n, log_r):
+    R = math.exp(log_r)
+    record = c_constant(n, R)
+    profile = minimize_jab(n, R)
+    assert record.A_min == profile.A_min
+    assert record.B_min == profile.B_min
+    assert record.J_min == pytest.approx(profile.J_min, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, R", sorted(FROZEN_LARGE_R_C))
+def test_large_radius_constant_matches_the_equal_split(n, R):
+    # above R = 4.6 the warm-chained profile jumped to a higher root near
+    # A* and read C too high, by 7e-5 to 1.5e-3 at these rows
+    assert c_constant(n, R).C == pytest.approx(FROZEN_LARGE_R_C[n, R], rel=1e-9)
 
 
 def test_c_constant_validation():

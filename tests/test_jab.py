@@ -19,6 +19,7 @@ from agplate.jab_solver import (
     solve_jab,
 )
 from agplate.measure import complement_radius, half_mass_radius, phi_volume
+from closedform import dirichlet_reference
 
 RNG_SEED = 20260816
 
@@ -95,6 +96,15 @@ def test_smallest_root_against_dense_scan():
         lam, prev = nxt, cur
     assert root is not None
     assert solve_jab(n, A, B).lam == pytest.approx(root, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("A", [3.0, 4.0, 5.0])
+def test_equal_split_root_is_the_dirichlet_root(n, A):
+    # lambda(A, A) = mu_D1(A); a cold scan here found a higher root of F
+    assert solve_jab(n, A, A).lam == pytest.approx(
+        dirichlet_reference(n, A), rel=1e-13
+    )
 
 
 def test_warm_start_agrees_with_cold_start():
@@ -223,17 +233,16 @@ def test_default_grid_matches_fine_grid_at_an_exact_endpoint(n, R):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("R", [0.05, 1.0, 3.0])
-def test_minimize_hint_returns_the_unhinted_minimum(n, R):
-    # the A = 0 sample's root is the R-ball's; hints off it by up to 50%,
-    # a zero hint and no hint all certify the same lowest root there
-    unhinted = minimize_jab(n, R)
+def test_minimize_starts_from_the_single_ball_root(n, R):
+    # the A = 0 sample is warm-started from the R-ball's clamped root, which
+    # is its exact root, so no sample of the profile scans cold
+    with mock.patch.object(
+        jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
+    ) as scan:
+        record = minimize_jab(n, R)
+    assert scan.call_count == 0
     lam1 = lowest_eigenvalue(n, 0, R).lam
-    hints = [f * lam1 for f in (0.5, 0.9, 1.0, 1.1, 1.5)] + [None, 0.0]
-    for hint in hints:
-        record = minimize_jab(n, R, lambda_hint=hint)
-        assert record.A_min == unhinted.A_min, hint
-        assert record.B_min == unhinted.B_min, hint
-        assert record.J_min == pytest.approx(unhinted.J_min, rel=1e-10), hint
+    assert record.profile[0][2] == pytest.approx(lam1, rel=1e-10)
 
 
 def test_minimize_validation():

@@ -141,19 +141,19 @@ def test_phi_inverse_is_cheap_at_small_radii(monkeypatch):
 
     monkeypatch.setattr(measure, "phi_volume", counted)
     cases = [(n, R) for n in (2, 3, 4, 5) for R in (1e-3, 0.01, 0.1)]
-    # roots exactly on a bracket end, which Newton from below overshoots
+    # roots at powers of two, where an earlier doubling bracket ended
     cases += [(2, 1.0), (3, 2.0), (5, 1.0)]
     for n, R in cases:
         v = volume(n, R)
         calls.clear()
         assert phi_inverse(n, v) == pytest.approx(R, rel=1e-12)
-        # one call brackets, the rest are Newton steps from above
+        # the closed-form start leaves a few Newton steps on log Phi
         assert len(calls) <= 6, (n, R, len(calls))
 
 
 def test_phi_inverse_newton_on_log_phi_is_fast(monkeypatch):
-    # over 500 seeded draws the mean is 6.6 calls and the worst 8; Newton on
-    # Phi itself took 8.2 and 12, and 12 for the pinned case
+    # over 500 seeded draws the closed-form start takes a mean of 3.9 calls
+    # and at worst 4
     volume = measure.phi_volume
     calls = []
 
@@ -175,7 +175,7 @@ def test_phi_inverse_newton_on_log_phi_is_fast(monkeypatch):
     assert sum(counts) / len(counts) <= 6.8
     calls.clear()
     phi_inverse(5, volume(5, 2.0123))
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_phi_inverse_zero_and_rejects():
