@@ -233,9 +233,11 @@ def test_default_grid_matches_fine_grid_at_an_exact_endpoint(n, R):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("R", [0.05, 1.0, 3.0])
-def test_minimize_starts_from_the_single_ball_root(n, R):
+def test_minimize_hint_returns_the_unhinted_minimum(n, R):
     # the A = 0 sample is warm-started from the R-ball's clamped root, which
-    # is its exact root, so no sample of the profile scans cold
+    # is its exact root, so no sample of the profile scans cold; every
+    # warm-started root is the one an unhinted solve certifies, and so is
+    # the minimum picked from them
     with mock.patch.object(
         jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
     ) as scan:
@@ -243,6 +245,17 @@ def test_minimize_starts_from_the_single_ball_root(n, R):
     assert scan.call_count == 0
     lam1 = lowest_eigenvalue(n, 0, R).lam
     assert record.profile[0][2] == pytest.approx(lam1, rel=1e-10)
+    unhinted = [solve_jab(n, A, B) for A, B, _ in record.profile]
+    for (A, B, lam), cold in zip(record.profile, unhinted):
+        assert lam == pytest.approx(cold.lam, rel=1e-10), (A, B)
+    lowest = min(s.mu for s in unhinted)
+    best = next(
+        s for s in unhinted
+        if s.mu - lowest <= jab_solver.ENDPOINT_TIE_REL * lowest
+    )
+    assert record.A_min == best.A
+    assert record.B_min == best.B
+    assert record.J_min == pytest.approx(best.mu, rel=1e-10)
 
 
 def test_minimize_validation():
