@@ -207,7 +207,13 @@ def _bessel_zeros(nu: float) -> tuple[float, float]:
 def _bracketed_root(
     f: Callable[[float], float], n: int, l: int, R: float
 ) -> float | None:
-    """The root of f = h_R on [lb_1, lb_2], or None when it has none there."""
+    """The root of f on [lb_1, lb_2], or None when it has none there.
+
+    f is h_R (lowest_eigenvalue) or, at l = 0, M_+ (lowest_dirichlet_root).
+    Either has at most its lowest zero on [lb_1, lb_2], and that zero lies
+    above n + l (lambda_1 > mu_1 > n + l), so a bracket with lb_2 <= n + l
+    is skipped for both.
+    """
     j1, j2 = _bessel_zeros(0.5 * n + l - 1.0)
     lo = (j1 / R) ** 2 + 0.5 * n
     hi = (j2 / R) ** 2 + 0.5 * n

@@ -48,7 +48,8 @@ lambda_end^2, which is at least the lower endpoint's mu.  split_minimum
 (what c_constant uses) therefore spends one F evaluation on each interior
 sample that passes, and solves only the samples that fail.  The
 certificate does not rely on the endpoint roots being right: a certified
-sample lies above whatever the endpoints returned.
+sample lies above whatever the endpoints returned.  Where mu_D1(A*) is not
+bracketed (R from about 5), split_minimum returns minimize_jab's minimum.
 
 minimize_jab keeps the whole profile: A runs over a uniform grid from 0 to
 the half-mass radius A*(R) and B is the complement radius, so the pair
@@ -74,6 +75,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .ball_spectrum import (
+    MIN_RADIUS,
     ROOT_RTOL,
     ROOT_XTOL,
     _bessel_zeros,
@@ -298,7 +300,8 @@ def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabReco
     _check_split(n, R, grid_points)
     a_star = half_mass_radius(n, R)
     solutions: list[JabSolution] = []
-    hint = lowest_eigenvalue(n, 0, R).lam
+    # lowest_eigenvalue stops at MIN_RADIUS; below it the first solve is cold
+    hint = lowest_eigenvalue(n, 0, R).lam if R >= MIN_RADIUS else None
     for i, a in enumerate(np.linspace(0.0, a_star, grid_points)):
         b = a_star if i == grid_points - 1 else complement_radius(n, R, float(a))
         sol = solve_jab(n, float(a), b, lambda_hint=hint)
@@ -320,7 +323,12 @@ def split_minimum(
 
     lambda_1 is the R-ball's lowest clamped root, the A = 0 sample's root.
     The equal split's root is mu_D1(A*) (solve_jab), and lambda_end is the
-    smaller of the two.  Every interior sample of minimize_jab's grid is
+    smaller of the two.  Where the Dirichlet bracket does not close (from
+    R of about 5), solve_jab scans the equal split cold and its root lies
+    above lb_2(A*): a closed bracket keeps Brent's root inside [lb_1, lb_2],
+    and an unclosed one leaves mu_D1(A*), the lowest root of F there, above
+    lb_2.  Such a row returns minimize_jab's minimum, from its warm chain.
+    Every interior sample of minimize_jab's grid is
     first tried against the certificate of the module docstring:
     lambda_end < min(lb_1(A), lb_2(B)) and F(lambda_end) > 0 put its root
     above lambda_end, so it cannot be the minimum.  A sample that fails is
@@ -331,8 +339,13 @@ def split_minimum(
     _check_split(n, R, grid_points)
     a_star = half_mass_radius(n, R)
     end = solve_jab(n, a_star, a_star)
-    lam_end = min(lambda_1, end.lam)
     j1, j2 = _bessel_zeros(0.5 * n - 1.0)
+    if end.lam > (j2 / a_star) ** 2 + 0.5 * n:
+        # no Dirichlet root on [lb_1, lb_2], so solve_jab scanned cold, which
+        # can land on a higher root: keep minimize_jab's warm chain instead
+        record = minimize_jab(n, R, grid_points)
+        return record.A_min, record.B_min, record.J_min
+    lam_end = min(lambda_1, end.lam)
     samples = [(0.0, R, lambda_1 * lambda_1)]
     for a in np.linspace(0.0, a_star, grid_points)[1:-1]:
         a = float(a)

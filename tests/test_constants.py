@@ -9,7 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agplate import constants, jab_solver
-from agplate.ball_spectrum import MIN_RADIUS, lowest_eigenvalue
+from agplate.ball_spectrum import (
+    MIN_RADIUS,
+    lowest_dirichlet_root,
+    lowest_eigenvalue,
+)
 from agplate.constants import (
     CSV_HEADER,
     STATUS_NO_ROOT,
@@ -24,6 +28,7 @@ from agplate.constants import (
 )
 from agplate.errors import NoRootFound
 from agplate.jab_solver import minimize_jab
+from agplate.measure import half_mass_radius
 from closedform import bessel_zero, plate_zero
 from refvalues import FROZEN_LARGE_R_C
 
@@ -106,6 +111,19 @@ def test_large_radius_constant_matches_the_equal_split(n, R):
     # above R = 4.6 the warm-chained profile jumped to a higher root near
     # A* and read C too high, by 7e-5 to 1.5e-3 at these rows
     assert c_constant(n, R).C == pytest.approx(FROZEN_LARGE_R_C[n, R], rel=1e-9)
+
+
+@pytest.mark.parametrize("n, R", [(8, 5.0), (12, 5.1)])
+def test_c_constant_past_the_dirichlet_bracket_is_minimize_jabs(n, R):
+    # mu_D1(A*) is not bracketed on [lb_1, lb_2] at these rows; the equal
+    # split's cold scan found a higher root there and read C high by 2.7e-3
+    # and 5e-3, so the row takes minimize_jab's warm-chained profile instead
+    assert lowest_dirichlet_root(n, half_mass_radius(n, R)) is None
+    record = c_constant(n, R)
+    profile = minimize_jab(n, R)
+    assert record.A_min == profile.A_min
+    assert record.B_min == profile.B_min
+    assert record.J_min == pytest.approx(profile.J_min, rel=1e-10)
 
 
 def test_c_constant_validation():

@@ -19,7 +19,7 @@ from agplate.jab_solver import (
     solve_jab,
 )
 from agplate.measure import complement_radius, half_mass_radius, phi_volume
-from closedform import dirichlet_reference
+from closedform import bessel_zero, dirichlet_reference, plate_zero
 
 RNG_SEED = 20260816
 
@@ -256,6 +256,18 @@ def test_minimize_hint_returns_the_unhinted_minimum(n, R):
     assert record.A_min == best.A
     assert record.B_min == best.B
     assert record.J_min == pytest.approx(best.mu, rel=1e-10)
+
+
+def test_minimize_below_min_radius_runs_cold_to_the_flat_limits():
+    # lowest_eigenvalue stops at MIN_RADIUS, so the A = 0 sample there starts
+    # cold; both endpoints sit at their flat-plate roots, k^2/R^2 and j^2/A*^2
+    R = 5e-4
+    record = minimize_jab(2, R)
+    (_, _, lam0), (a_star, _, lam_end) = record.profile[0], record.profile[-1]
+    assert lam0 == pytest.approx(plate_zero(0.0) ** 2 / R**2, rel=1e-6)
+    assert lam_end == pytest.approx(bessel_zero(0.0, 1) ** 2 / a_star**2, rel=1e-6)
+    assert record.A_min == 0.0
+    assert record.J_min == lam0 * lam0
 
 
 def test_minimize_validation():
