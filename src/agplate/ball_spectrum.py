@@ -28,39 +28,45 @@ so G_R is always finite.
 
 The lowest root is bracketed by Dirichlet eigenvalues.  The substitution
 u = exp(-r^2/4) v maps L^2(w) unitarily onto L^2, keeps the Dirichlet
-condition, and turns -L into -Delta + r^2/4 + n/2.  So the Dirichlet
-eigenvalues mu_k of -L_l on the ball of radius R satisfy
+condition, and turns -L into -Delta + r^2/4 + n/2.  Let mu_k be the
+Dirichlet eigenvalues of -L_l on the ball of radius R; they are the zeros
+of lambda -> M_+(z), where y_+ meets the Dirichlet condition.  Let m_pm =
+y_pm'(R) / y_pm(R).  Between its poles, which are the mu_k, m_+ is strictly
+monotone in lambda; M_- has no zeros, so m_- is finite and monotone in the
+other direction.  Hence h_R = -M_+ M_- (m_+ - m_-) / R has no root in
+(0, mu_1] and exactly one in each interval (mu_k, mu_{k+1}):
+mu_k < lambda_k < mu_{k+1}.  So (0, mu_2) holds one root of h_R, lambda_1,
+and one zero of M_+, mu_1; any [lo, hi] with lo <= mu_1 and hi < mu_2 on
+which h_R (or M_+) changes sign brackets exactly that root.
 
-    mu_k >= lb_k = j_{nu,k}^2 / R^2 + n/2,     nu = n/2 + l - 1,
+The floors.  With nu = n/2 + l - 1, c = n/2 + l and a_k = j_{nu,k}^2 / R^2
+(j_{nu,k} the k-th positive zero of the Bessel function J_nu), write, for
+any e in [0, 1],
 
-with j_{nu,k} the k-th positive zero of the Bessel function J_nu; the mu_k
-are the zeros of lambda -> M_+(z), where y_+ meets the Dirichlet condition.
-Let m_pm = y_pm'(R) / y_pm(R).  Between its poles, which are the mu_k, m_+ is
-strictly monotone in lambda; M_- has no zeros, so m_- is finite and monotone
-in the other direction.  Hence h_R = -M_+ M_- (m_+ - m_-) / R has no
-root in (0, mu_1] and exactly one in each interval (mu_k, mu_{k+1}):
-mu_k < lambda_k < mu_{k+1}.  The interval
-(0, lb_2] lies inside (0, mu_2), so it holds at most one root, lambda_1.
-When h_R changes sign between lb_1 and lb_2, Brent's method on that
-bracket returns the lowest root, certified.  The bracket closes for every
-radius up to about R = 4.85-6.1 (n <= 40, l <= 2), and Bessel zeros are
-constants of (n, l), computed once per order nu.  On all of R^n the same
-operator is n/2 plus a harmonic oscillator whose lowest level in the
-degree-l sector is l + n/2, and a ball's Dirichlet level lies strictly
-above the whole space's; so mu_1 > n + l, and where lb_2 <= n + l the
-bracket cannot hold lambda_1 and is not tried.
+    -Delta_D + r^2/4 = e (-Delta_D) + [(1 - e)(-Delta_D) + r^2/4].
 
-Where h_R has one sign at both ends, the root lies above lb_2 and the fixed
-step scan takes over.  It steps lambda in fixed increments and refines
-the first sign change with Brent's method.  The scan works in the scaled
-variable s = lambda R^2: for R < 1 the step, the starting ceiling (50) and
-the cap (6400) are all multiplied by 1/R^2, so the cost of a scan does not
-grow as the ball shrinks.  This follows the small-ball limit
-Lambda_1 ~ c_n / R^4 of the Euclidean clamped plate (Ashbaugh & Benguria,
-Duke Math. J. 78 (1995)): the fundamental root sits near s = sqrt(c_n),
-about 10.2 in the plane, at every small radius.  For R >= 1 the sampled
-lambda grid is the unscaled one.  A scan that finds no sign change below
-its cap raises NoRootFound; only the fallback scan can raise it.
+The first operator's degree-l levels are e a_k.  The second lies above
+the whole-space oscillator (1 - e)(-Delta) + r^2/4 (a Dirichlet form is
+the whole-space form restricted to a smaller domain), whose degree-l
+levels are sqrt(1 - e)(c + 2m), m = 0, 1, ...  Weyl's inequality for a
+sum, lambda_{i+j-1}(P + Q) >= lambda_i(P) + lambda_j(Q) (Weyl, Math. Ann.
+71 (1912)), then gives
+
+    mu_1 >= floor_1 = n/2 + W(a_1, c),
+    mu_2 >= floor_2 = n/2 + max(W(a_2, c), W(a_1, c + 2)),
+
+with W(a, c) = max over e of e a + sqrt(1 - e) c, which is a + c^2/(4a)
+when 2a >= c and c otherwise.  At e = 1 the floors are the Dirichlet
+Laplacian's bounds lb_k = a_k + n/2; at e = 0 they are the whole space's
+levels n + l and n + l + 2.  W does not decrease in a, so Bessel zeros
+shaved below their true values keep both floors lower bounds.  The
+bracket [floor_1, floor_2] closes (floor_2 > lambda_1) for every n <= 40,
+l <= 3 and R in [1e-3, 12] tested, and the Bessel zeros are constants of
+(n, l), computed once per order nu.  A bracket that does not close raises
+NoRootFound naming n, l, R and the bracket; no search runs past it.
+
+scan_lowest_root, a fixed-step scan in the scaled variable lambda R^2, is
+kept as an independent reference for tests; no library path calls it.
 """
 
 from __future__ import annotations
@@ -80,7 +86,6 @@ from .kummer import KummerParams, eval_m
 from .kummer import eval_m_dz  # noqa: F401
 
 SCAN_STEP = 0.25
-SCAN_CEILING = 50.0
 SCAN_CEILING_MAX = 6400.0
 ROOT_XTOL = 1e-14
 ROOT_RTOL = 1e-11
@@ -144,41 +149,37 @@ def secular_h(n: int, l: int, R: float, lam: float) -> float:
 def scan_lowest_root(f: Callable[[float], float], radius: float) -> float:
     """Smallest root of f above REJECT_BELOW, by fixed-step sign scanning.
 
-    The scan runs in the scaled variable lambda * radius^2: SCAN_STEP,
-    SCAN_CEILING and SCAN_CEILING_MAX are multiplied by max(1, 1/radius^2),
-    so a ball of radius below 1 is scanned with as many samples as the unit
-    ball; for radius >= 1 they are used as they are.  f is sampled at step,
-    2*step, ... and each sign change is refined with Brent's method.  When
-    no change appears below the current ceiling the ceiling doubles, up to
-    the scaled SCAN_CEILING_MAX; exhaustion raises NoRootFound.  Roots at
-    or below REJECT_BELOW are treated as spurious and skipped.  A radius
-    <= 0 raises ValueError.
+    No library path calls this; it is the tests' independent reference for
+    the bracketed roots, and a binding the benchmark's tracer wraps.  The
+    scan runs in the scaled variable lambda * radius^2: SCAN_STEP and
+    SCAN_CEILING_MAX are multiplied by max(1, 1/radius^2), so a ball of
+    radius below 1 is scanned with as many samples as the unit ball (the
+    flat plate's Lambda_1 ~ c_n / R^4 keeps the root near a fixed
+    lambda R^2 as the ball shrinks).  f is sampled at step, 2*step, ... and
+    the first sign change is refined with Brent's method.  No change below
+    the scaled SCAN_CEILING_MAX raises NoRootFound.  Roots at or below
+    REJECT_BELOW are treated as spurious and skipped.  A radius <= 0 raises
+    ValueError.
     """
     if not radius > 0.0:
         raise ValueError("scan radius must be positive")
     scale = max(1.0, 1.0 / (radius * radius))
-    step, max_ceiling = scale * SCAN_STEP, scale * SCAN_CEILING_MAX
+    step, ceiling = scale * SCAN_STEP, scale * SCAN_CEILING_MAX
     x = step
     fx = f(x)
     if fx == 0.0 and x > REJECT_BELOW:
         return x
-    top = scale * SCAN_CEILING
-    while True:
-        while x < top:
-            xn = x + step
-            fn = f(xn)
-            if fn == 0.0 and xn > REJECT_BELOW:
-                return xn
-            if fx != 0.0 and fn != 0.0 and (fx < 0.0) != (fn < 0.0):
-                root = brentq(f, x, xn, xtol=ROOT_XTOL, rtol=ROOT_RTOL)
-                if root > REJECT_BELOW:
-                    return root
-            x, fx = xn, fn
-        if top >= max_ceiling:
-            raise NoRootFound(
-                f"no sign change found for lambda up to {max_ceiling:g}"
-            )
-        top = min(2.0 * top, max_ceiling)
+    while x < ceiling:
+        xn = x + step
+        fn = f(xn)
+        if fn == 0.0 and xn > REJECT_BELOW:
+            return xn
+        if fx != 0.0 and fn != 0.0 and (fx < 0.0) != (fn < 0.0):
+            root = brentq(f, x, xn, xtol=ROOT_XTOL, rtol=ROOT_RTOL)
+            if root > REJECT_BELOW:
+                return root
+        x, fx = xn, fn
+    raise NoRootFound(f"no sign change found for lambda up to {ceiling:g}")
 
 
 @functools.lru_cache
@@ -204,24 +205,41 @@ def _bessel_zeros(nu: float) -> tuple[float, float]:
     return zeros[0], zeros[1]
 
 
-def _bracketed_root(
-    f: Callable[[float], float], n: int, l: int, R: float
-) -> float | None:
-    """The root of f on [lb_1, lb_2], or None when it has none there.
+def _weyl(a: float, c: float) -> float:
+    """max over e in [0, 1] of e a + sqrt(1 - e) c, the floors' W(a, c)."""
+    return a + c * c / (4.0 * a) if 2.0 * a >= c else c
 
-    f is h_R (lowest_eigenvalue) or, at l = 0, M_+ (lowest_dirichlet_root).
-    Either has at most its lowest zero on [lb_1, lb_2], and that zero lies
-    above n + l (lambda_1 > mu_1 > n + l), so a bracket with lb_2 <= n + l
-    is skipped for both.
+
+def _floors(n: int, l: int, X: float) -> tuple[float, float]:
+    """Certified lower bounds (floor_1, floor_2) on mu_1 and mu_2 at radius X.
+
+    These are the Weyl floors of the module docstring, from the shaved
+    Bessel zeros of order n/2 + l - 1.
     """
     j1, j2 = _bessel_zeros(0.5 * n + l - 1.0)
-    lo = (j1 / R) ** 2 + 0.5 * n
-    hi = (j2 / R) ** 2 + 0.5 * n
-    if hi <= n + l:  # lambda_1 > mu_1 > n + l
-        return None
+    # products, not powers: a ball too small for a double gets inf floors
+    a1, a2 = (j1 / X) * (j1 / X), (j2 / X) * (j2 / X)
+    c = 0.5 * n + l
+    return (
+        0.5 * n + _weyl(a1, c),
+        0.5 * n + max(_weyl(a2, c), _weyl(a1, c + 2.0)),
+    )
+
+
+def _bracketed_root(
+    f: Callable[[float], float], lo: float, hi: float, where: str
+) -> float:
+    """The root of f on [lo, hi], refined by Brent's method.
+
+    The caller certifies that [lo, hi] holds at most the root it wants, so a
+    sign change there is that root.  Without one, NoRootFound names the
+    problem (where) and the bracket.
+    """
     ends = {lo: f(lo), hi: f(hi)}
     if not ((ends[lo] < 0.0 < ends[hi]) or (ends[hi] < 0.0 < ends[lo])):
-        return None
+        raise NoRootFound(
+            f"{where}: no sign change on the certified bracket [{lo!r}, {hi!r}]"
+        )
     # brentq starts by evaluating both ends again; hand it these values
     return brentq(
         lambda t: ends.pop(t) if t in ends else f(t),
@@ -235,11 +253,11 @@ def _bracketed_root(
 def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:
     """Fundamental clamped eigenvalue on the ball of radius R, degree l.
 
-    The root is bracketed by the Dirichlet lower bounds lb_1 and lb_2 (see
-    the module docstring).  When h_R changes sign between them, Brent's
-    method refines the one root there, which is certified to be the lowest;
-    otherwise scan_lowest_root finds it, and only then can NoRootFound be
-    raised.
+    The root is bracketed by the floors of mu_1 and mu_2 (module
+    docstring): [floor_1, floor_2] lies inside (0, mu_2), which holds the
+    one root lambda_1 of h_R, so a sign change there is lambda_1, certified,
+    and Brent's method refines it.  A bracket without one raises
+    NoRootFound.
     """
     check_dimension(n)
     check_degree(l)
@@ -249,25 +267,20 @@ def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:
     def f(t: float) -> float:
         return secular_h(n, l, R, t)
 
-    lam = _bracketed_root(f, n, l, R)
-    if lam is None:
-        lam = scan_lowest_root(f, radius=R)
+    lam = _bracketed_root(f, *_floors(n, l, R), f"n={n}, l={l}, R={R!r}")
     m_p, m_m, _, _ = secular_parts(n, l, R, lam)
     return SpectralMode(l=l, lam=lam, Lambda=lam * lam, G_R=-m_p / m_m)
 
 
-def lowest_dirichlet_root(n: int, X: float) -> float | None:
-    """mu_D1(X), the lowest zero of lambda -> M(lambda/2, n/2, -X^2/2), or None.
+def lowest_dirichlet_root(n: int, X: float) -> float:
+    """mu_D1(X), the lowest zero of lambda -> M(lambda/2, n/2, -X^2/2).
 
     This is the first radial Dirichlet frequency of -L on the ball of radius
     X (the zeros in lambda of M_+ at l = 0 are the mu_k, and they are
-    simple).  It is found on the same bracket as the clamped root: mu_k >=
-    lb_k by the unitary map of the module docstring, and M_+ = 1 at
-    lambda = 0, so M_+ > 0 on [0, mu_1).  (0, lb_2] lies inside (0, mu_2)
-    and holds at most mu_1, so a sign change on [lb_1, lb_2] brackets
-    mu_1, which Brent's method refines.  mu_1 > n, the whole space's
-    lowest level, so the lb_2 <= n skip holds as well.  None means the
-    bracket did not close (large X).
+    simple).  M_+ = 1 at lambda = 0, so M_+ > 0 on [0, mu_1), and the
+    l = 0 floors put [floor_1, floor_2] inside (0, mu_2) with floor_1 <=
+    mu_1: a sign change there is mu_1, which Brent's method refines.  A
+    bracket without one raises NoRootFound.
     """
     check_dimension(n)
     if not (math.isfinite(X) and X > 0.0):
@@ -276,7 +289,7 @@ def lowest_dirichlet_root(n: int, X: float) -> float | None:
     def f(t: float) -> float:
         return eval_m(KummerParams(0.5 * t, 0.5 * n), -0.5 * X * X).value
 
-    return _bracketed_root(f, n, 0, X)
+    return _bracketed_root(f, *_floors(n, 0, X), f"n={n}, l=0, R={X!r}")
 
 
 def eigenvalue_curve(

@@ -12,8 +12,8 @@ Subcommands
     oracle  finite-difference eigenvalue cross-check (JSON)
 
 Exit codes: 0 on success, 2 for invalid flags or parameter values,
-3 when a solver fails (no sign change below the root scan's cap, or an
-iteration cap was hit).
+3 when a solver fails (a certified root bracket held no sign change, or
+an iteration cap was hit).
 
 Every algorithm in the pipeline is deterministic, so there is no seed
 flag; two runs with identical flags produce identical bytes.  Grids for

@@ -79,9 +79,10 @@ def c_constant(n: int, R: float, grid_points: int = GRID_POINTS) -> ConstantReco
     Lambda_1 comes from lowest_eigenvalue on the R-ball.  Its root is the
     A = 0 endpoint of the split minimization (F at A = 0 is a positive
     multiple of h_R), which split_minimum takes as it is; the other endpoint
-    is the equal split's Dirichlet root, and each interior sample of
-    minimize_jab's grid is ruled out by one sign of F where it can be
-    (see jab_solver).
+    is the equal split's Dirichlet root mu_D1(A*), and each interior sample
+    of minimize_jab's grid is ruled out by one sign of F where it can be
+    (see jab_solver).  Every root comes from one certified bracket, at every
+    radius, so a row never falls back to a scan or a warm-started chain.
     """
     if not (math.isfinite(R) and R >= MIN_RADIUS):
         raise ValueError(f"radius must be finite and at least {MIN_RADIUS}")

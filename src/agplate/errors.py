@@ -6,10 +6,11 @@ class NonConvergent(RuntimeError):
 
 
 class NoRootFound(RuntimeError):
-    """A root scan exhausted its ceiling without finding a sign change.
+    """A certified bracket held no sign change.
 
-    Raised instead of returning a sentinel: a missing root signals a scan-grid
-    or parameter problem the caller has to see.
+    Raised instead of returning a sentinel: the bracket's ends are proved to
+    hold the lowest root, so a missing sign change signals a numerical or
+    parameter problem the caller has to see.
     """
 
 

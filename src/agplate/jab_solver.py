@@ -34,65 +34,66 @@ The matched slope is one linear constraint, so by min-max
 nu_k <= lambda_k(A, B) <= nu_(k+1).  At A = B, nu_1 = nu_2 = mu_D1(A), so
 lambda(A, A) = mu_D1(A): solve_jab returns that root directly.
 
+Every pair root has one certified bracket.  Sort the radii so that
+A <= B.  A zero radius contributes nothing, so F(0, B) is a positive
+multiple of h_B and its lowest root is bracketed on B's floors
+(ball_spectrum): [floor_1(B), floor_2(B)].  For 0 < A < B, Dirichlet
+frequencies fall as the ball grows, so nu_1 = mu_D1(B) >= floor_1(B) and
+nu_2 = min(mu_D1(A), mu_D2(B)) >= min(mu_D1(A), floor_2(B)).  With
+nu_1 <= lambda_1(A, B) <= nu_2 <= lambda_2(A, B), the bracket
+[floor_1(B), min(mu_D1(A), floor_2(B))] holds lambda_1(A, B) and no other
+root, so a sign change of F there is lambda_1(A, B), which Brent's method
+refines.  mu_D1(A) >= floor_1(A), so mu_D1(A) is solved for only when
+floor_1(A) < floor_2(B).  A bracket without a sign change raises
+NoRootFound; no search runs past it.
+
 The split minimum is certified from its two endpoints.  All the premises
 below rest on one more: F's positive roots are the pair's eigenvalue
 frequencies lambda_k(A, B), each a simple root, and F > 0 just above
 lambda = 0 (there h_X ~ (lambda / b) M(1, b + 1, -X^2/2) > 0 and
 M_+ M_- ~ 1).  Let lambda_end = min(lambda_1(R), mu_D1(A*)), the smaller
 endpoint root.  For an interior split 0 < A < A* < B, nu_2 >=
-min(mu_D1(A), mu_D2(B)) >= min(lb_1(A), lb_2(B)) with lb_k(X) =
-j_{n/2-1,k}^2 / X^2 + n/2 (see ball_spectrum).  When lambda_end lies below
-that bound, (0, lambda_end] holds at most lambda_1(A, B); F(lambda_end) > 0
-leaves an even number of roots there, hence none, and mu(A, B) >
-lambda_end^2, which is at least the lower endpoint's mu.  split_minimum
-(what c_constant uses) therefore spends one F evaluation on each interior
-sample that passes, and solves only the samples that fail.  The
-certificate does not rely on the endpoint roots being right: a certified
-sample lies above whatever the endpoints returned.  Where mu_D1(A*) is not
-bracketed (R from about 5), split_minimum returns minimize_jab's minimum.
+min(mu_D1(A), mu_D2(B)) >= min(floor_1(A), floor_2(B)).  When lambda_end
+lies below that bound, (0, lambda_end] holds at most lambda_1(A, B);
+F(lambda_end) > 0 leaves an even number of roots there, hence none, and
+mu(A, B) > lambda_end^2, which is at least the lower endpoint's mu.
+split_minimum (what c_constant uses) therefore spends one F evaluation on
+each interior sample that passes, and solves only the samples that fail.
+The certificate does not rely on the endpoint roots being right: a
+certified sample lies above whatever the endpoints returned.
 
 minimize_jab keeps the whole profile: A runs over a uniform grid from 0 to
 the half-mass radius A*(R) and B is the complement radius, so the pair
-always fills the weighted volume of the R-ball.  The solves are
-warm-started: a narrow bracket around a hint, sign checks that no root lies
-below the bracket, and a Brent refinement (see solve_jab).  The A = 0
-sample starts from the R-ball's clamped root, which is that sample's exact
-root, the second sample from the first root, and each later one from the
-linear extrapolation of the last two roots; the last sample, the equal
-split, is the Dirichlet root.  jab_condition spends no series on a zero
-radius and one secular pass on the equal split.  In both routines J_min is
-mu at the smallest-A sample within ENDPOINT_TIE_REL (relative) of the
-lowest sampled mu, so ties go to A = 0.  Nothing refines between samples:
-an interior minimum shows at grid resolution.
+always fills the weighted volume of the R-ball.  Each sample is solved on
+its own bracket (solve_jab); the A = 0 sample's root is the R-ball's
+clamped root and the last sample's, the equal split, is the Dirichlet
+root.  jab_condition spends no series on a zero radius and one secular
+pass on the equal split.  In both routines J_min is mu at the smallest-A
+sample within ENDPOINT_TIE_REL (relative) of the lowest sampled mu, so ties
+go to A = 0.  Nothing refines between samples: an interior minimum shows
+at grid resolution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ball_spectrum import (
-    MIN_RADIUS,
-    ROOT_RTOL,
-    ROOT_XTOL,
-    _bessel_zeros,
+    _bracketed_root,
+    _floors,
     lowest_dirichlet_root,
-    lowest_eigenvalue,
-    scan_lowest_root,
-    secular_h,
     secular_parts,
 )
+# not called here, but perfbench/tracer.py requires this binding
+from .ball_spectrum import scan_lowest_root  # noqa: F401
 from .errors import check_dimension
 from .measure import complement_radius, half_mass_radius
 
 GRID_POINTS = 16
-# relative half-width of the first warm-start bracket, and the widest one
-# tried before the cold scan; each failed try widens by HINT_WIDEN
-HINT_WINDOW = (2e-3, 0.25)
-HINT_WIDEN = 4.0
 ENDPOINT_TIE_REL = 1e-9
 
 
@@ -152,6 +153,15 @@ def _half_term(
     return radius**n * math.exp(0.5 * radius * radius) * h * pair
 
 
+def _check_pair(n: int, A: float, B: float) -> None:
+    check_dimension(n)
+    for radius in (A, B):
+        if not (math.isfinite(radius) and radius >= 0.0):
+            raise ValueError("radii must be finite and nonnegative")
+    if A == 0.0 and B == 0.0:
+        raise ValueError("at least one radius must be positive")
+
+
 def jab_condition(n: int, A: float, B: float, lam: float) -> float:
     """Characteristic function F(lambda) for the radii pair (A, B).
 
@@ -160,12 +170,7 @@ def jab_condition(n: int, A: float, B: float, lam: float) -> float:
     split A == B costs one secular pass, not two; both give the same bits
     as evaluating each radius's secular_parts.
     """
-    check_dimension(n)
-    for radius in (A, B):
-        if not (math.isfinite(radius) and radius >= 0.0):
-            raise ValueError("radii must be finite and nonnegative")
-    if A == 0.0 and B == 0.0:
-        raise ValueError("at least one radius must be positive")
+    _check_pair(n, A, B)
     # M(a, b, 0) = 1 exactly and _half_term reads no derivative of a zero
     # radius, so that radius needs no series; the equal split needs one pass
     unit = (1.0, 1.0, 0.0, 0.0)
@@ -179,91 +184,46 @@ def jab_condition(n: int, A: float, B: float, lam: float) -> float:
     )
 
 
-def _hint_bracket(f, hint: float) -> tuple[float, float] | None:
-    """Lowest sign change of f among samples widening out from hint, or None.
-
-    f is sampled at hint * (1 -/+ w) for w = HINT_WINDOW[0], then w times
-    HINT_WIDEN, ..., up to HINT_WINDOW[1].  The first width whose samples
-    change sign gives the bracket, between the lowest pair of neighbouring
-    samples that differ in sign.  A sample that is exactly zero gives None,
-    which leaves that case to the cold scan.
-    """
-    width, cap = HINT_WINDOW
-    samples: list[tuple[float, float]] = []
-    while True:
-        width = min(width, cap)
-        for x in (hint * (1.0 - width), hint * (1.0 + width)):
-            fx = f(x)
-            if fx == 0.0:
-                return None
-            samples.append((x, fx))
-        samples.sort()
-        for (x, fx), (xn, fn) in zip(samples, samples[1:]):
-            if (fx < 0.0) != (fn < 0.0):
-                return x, xn
-        if width >= cap:
-            return None
-        width *= HINT_WIDEN
-
-
-def _no_root_below(f, n: int, lo: float, radius: float) -> bool:
-    """Whether the pair condition f has no root in (0, lo].
-
-    F and every single-ball h are positive just above lambda = 0: there
-    h_X ~ (lambda / b) M(1, b + 1, -X^2/2) > 0 and M_+ M_- ~ 1.  So F(lo) > 0
-    leaves an even number of roots below lo, and h(lo) > 0 for the larger
-    ball leaves an even number of its clamped roots below lo.  The pair's
-    second root lies at or above the larger ball's lowest clamped root
-    (fixing the matched slope to 0 is one linear constraint, and it leaves
-    the two balls clamped), so while lo is below that ball's second root
-    both checks together leave no root of F below lo.
-    """
-    return f(lo) > 0.0 and secular_h(n, 0, radius, lo) > 0.0
-
-
-def solve_jab(
-    n: int, A: float, B: float, lambda_hint: float | None = None
-) -> JabSolution:
+def solve_jab(n: int, A: float, B: float) -> JabSolution:
     """Smallest positive root of the pair condition, as a JabSolution.
 
-    At the equal split A == B > 0 the root is mu_D1(A) (module docstring),
-    taken from ball_spectrum.lowest_dirichlet_root; where that bracket does
-    not close, the general path below runs.  Without a hint the root comes
-    from the cold upward scan.  With lambda_hint (a warm start along a
-    continuation path), F is sampled at hint * (1 -/+ 2e-3), and the
-    bracket widens by HINT_WIDEN until the samples change sign.  The lower
-    end lo of the lowest bracket must then pass two sign checks: F(lo) > 0
-    (an even number of roots below lo) and h(lo) > 0 for the larger ball
-    (lo below its lowest clamped root, which bounds the pair's second root
-    from below).  Brent refines a bracket that passes.  The cold scan takes
-    over when no bracket appears within hint * (1 -/+ 0.25) and when a
-    check fails.  Each F value is computed once per solve, so Brent's and
-    the cold scan's repeated evaluations of a point cost nothing.
+    With A <= B after sorting: the equal split A == B returns mu_D1(A)
+    (ball_spectrum.lowest_dirichlet_root); A == 0 brackets F, a positive
+    multiple of h_B, on B's floors [floor_1(B), floor_2(B)]; and 0 < A < B
+    brackets F on [floor_1(B), min(floor_2(B), mu_D1(A))], solving for
+    mu_D1(A) only when floor_1(A) < floor_2(B) (module docstring).  Each
+    bracket holds the lowest root and no other, and Brent's method refines
+    it.  A bracket without a sign change raises NoRootFound.
+
+    At lambda = mu_D1(A) < floor_2(B), M_+ vanishes at A and F has the sign
+    of M_+ at B, negative exactly when mu_D1(B) < mu_D1(A).  So F >= 0 there
+    means the two Dirichlet roots agree to the precision they are computed
+    to (a split equal to rounding), and the root between them is returned
+    as mu_D1(A).
     """
-    check_dimension(n)
-    if A == B and A > 0.0:
-        lam = lowest_dirichlet_root(n, A)
-        if lam is not None:
-            return JabSolution(A=A, B=B, n=n, lam=lam, mu=lam * lam)
-    memo: dict[float, float] = {}
-
-    def f(lam: float) -> float:
-        value = memo.get(lam)
-        if value is None:
-            value = memo[lam] = jab_condition(n, A, B, lam)
-        return value
-
-    # mu(A, B) <= Lambda_1(max(A, B)), so the lowest root lies at or below
-    # the single-ball root of the larger radius
-    radius = max(A, B)
-    lam = None
-    if lambda_hint is not None and lambda_hint > 0.0:
-        bracket = _hint_bracket(f, lambda_hint)
-        if bracket is not None and _no_root_below(f, n, bracket[0], radius):
-            lam = float(brentq(f, *bracket, xtol=ROOT_XTOL, rtol=ROOT_RTOL))
-    if lam is None:
-        lam = scan_lowest_root(f, radius=radius)
+    _check_pair(n, A, B)
+    small, large = sorted((A, B))
+    if small == large:
+        lam = lowest_dirichlet_root(n, small)
+    else:
+        lam = _pair_root(n, small, large, f"n={n}, A={A!r}, B={B!r}")
     return JabSolution(A=A, B=B, n=n, lam=lam, mu=lam * lam)
+
+
+def _pair_root(n: int, small: float, large: float, where: str) -> float:
+    """Lowest root of F for 0 <= small < large, on solve_jab's bracket."""
+
+    @functools.cache
+    def f(t: float) -> float:
+        return jab_condition(n, small, large, t)
+
+    lo, hi = _floors(n, 0, large)
+    if small > 0.0 and _floors(n, 0, small)[0] < hi:
+        mu_small = lowest_dirichlet_root(n, small)
+        if mu_small < hi and f(mu_small) >= 0.0:
+            return mu_small
+        hi = min(hi, mu_small)
+    return _bracketed_root(f, lo, hi, where)
 
 
 def _check_split(n: int, R: float, grid_points: int) -> None:
@@ -285,13 +245,10 @@ def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabReco
 
     A runs over a uniform inclusive grid of grid_points samples on
     [0, A*(R)] with B the complement radius (B = R exactly at A = 0 and
-    B = A* exactly at the equal split).  Each solve is warm-started
-    (solve_jab): the A = 0 sample from the R-ball's lowest clamped root
-    (lowest_eigenvalue), which is that sample's exact root because F at
-    A = 0 is a positive multiple of h_R; the second sample from the first
-    root; and every later one from the linear extrapolation
-    2 lambda_(i-1) - lambda_(i-2) along the uniform grid.  The equal split
-    gets the Dirichlet root mu_D1(A*) through solve_jab.  J_min is mu at
+    B = A* exactly at the equal split).  Each sample is solved on its own
+    certified bracket (solve_jab): the A = 0 sample's root is the R-ball's
+    lowest clamped root, because F at A = 0 is a positive multiple of h_R,
+    and the equal split's is the Dirichlet root mu_D1(A*).  J_min is mu at
     the smallest-A sample within ENDPOINT_TIE_REL (relative) of the profile
     minimum: a tie goes to the single ball A = 0, and roundoff dips never
     displace an endpoint.  With no refinement between samples, an interior
@@ -300,14 +257,9 @@ def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabReco
     _check_split(n, R, grid_points)
     a_star = half_mass_radius(n, R)
     solutions: list[JabSolution] = []
-    # lowest_eigenvalue stops at MIN_RADIUS; below it the first solve is cold
-    hint = lowest_eigenvalue(n, 0, R).lam if R >= MIN_RADIUS else None
     for i, a in enumerate(np.linspace(0.0, a_star, grid_points)):
         b = a_star if i == grid_points - 1 else complement_radius(n, R, float(a))
-        sol = solve_jab(n, float(a), b, lambda_hint=hint)
-        solutions.append(sol)
-        # the grid is uniform in A: extrapolate the last two roots linearly
-        hint = sol.lam if i == 0 else 2.0 * sol.lam - solutions[-2].lam
+        solutions.append(solve_jab(n, float(a), b))
 
     A_min, B_min, J_min = _lowest_sample([(s.A, s.B, s.mu) for s in solutions])
     return MinJabRecord(
@@ -323,36 +275,25 @@ def split_minimum(
 
     lambda_1 is the R-ball's lowest clamped root, the A = 0 sample's root.
     The equal split's root is mu_D1(A*) (solve_jab), and lambda_end is the
-    smaller of the two.  Where the Dirichlet bracket does not close (from
-    R of about 5), solve_jab scans the equal split cold and its root lies
-    above lb_2(A*): a closed bracket keeps Brent's root inside [lb_1, lb_2],
-    and an unclosed one leaves mu_D1(A*), the lowest root of F there, above
-    lb_2.  Such a row returns minimize_jab's minimum, from its warm chain.
-    Every interior sample of minimize_jab's grid is
+    smaller of the two.  Every interior sample of minimize_jab's grid is
     first tried against the certificate of the module docstring:
-    lambda_end < min(lb_1(A), lb_2(B)) and F(lambda_end) > 0 put its root
-    above lambda_end, so it cannot be the minimum.  A sample that fails is
-    solved, warm-started from lambda_end, and joins the candidates.  The
-    minimum among the endpoints and the solved samples is picked by
-    minimize_jab's rule, so the two agree on the minimizer.
+    lambda_end < min(floor_1(A), floor_2(B)) and F(lambda_end) > 0 put its
+    root above lambda_end, so it cannot be the minimum.  A sample that fails
+    is solved on its bracket and joins the candidates.  The minimum among
+    the endpoints and the solved samples is picked by minimize_jab's rule,
+    so the two agree on the minimizer.
     """
     _check_split(n, R, grid_points)
     a_star = half_mass_radius(n, R)
     end = solve_jab(n, a_star, a_star)
-    j1, j2 = _bessel_zeros(0.5 * n - 1.0)
-    if end.lam > (j2 / a_star) ** 2 + 0.5 * n:
-        # no Dirichlet root on [lb_1, lb_2], so solve_jab scanned cold, which
-        # can land on a higher root: keep minimize_jab's warm chain instead
-        record = minimize_jab(n, R, grid_points)
-        return record.A_min, record.B_min, record.J_min
     lam_end = min(lambda_1, end.lam)
     samples = [(0.0, R, lambda_1 * lambda_1)]
     for a in np.linspace(0.0, a_star, grid_points)[1:-1]:
         a = float(a)
         b = complement_radius(n, R, a)
-        bound = min((j1 / a) ** 2, (j2 / b) ** 2) + 0.5 * n
+        bound = min(_floors(n, 0, a)[0], _floors(n, 0, b)[1])
         if lam_end < bound and jab_condition(n, a, b, lam_end) > 0.0:
             continue
-        samples.append((a, b, solve_jab(n, a, b, lambda_hint=lam_end).mu))
+        samples.append((a, b, solve_jab(n, a, b).mu))
     samples.append((a_star, a_star, end.mu))
     return _lowest_sample(samples)

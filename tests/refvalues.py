@@ -22,11 +22,15 @@ FROZEN_LARGE_R_C: C(R, n) above R = 4.6, keyed by (n, R).  Each is
 min(1, mu_D1(A*)^2 / Lambda_1(R)) at 40 significant digits, all from
 mpmath: A* by mpmath.findroot on Phi(A) = Phi(R)/2 with Phi =
 beta_n R^n / n * hyp1f1(n/2, n/2 + 1, R^2/2); mu_D1(A*) as
-closedform.dirichlet_reference; Lambda_1 = lambda_1^2 with lambda_1 the root
-of h_R (as reference_h in test_ball_spectrum.py, at 40 digits) by
-mpmath.findroot started from the series pipeline's root, and h_R of one
-sign at 400 points below it.  Where the equal split wins, C is the
-equal-split root against the single ball's.
+closedform.dirichlet_reference, or, where closedform's [lb_1, lb_2] does
+not hold it (n = 40), by a 40-digit lambda-scan of M from 0.01 in steps of
+0.05 with zeroprec=400 and mpmath.findroot on the first sign change;
+Lambda_1 = lambda_1^2 with lambda_1 the root of h_R (as reference_h in
+test_ball_spectrum.py, at 40 digits) by mpmath.findroot started from the
+series pipeline's root, and h_R of one sign at 400 points below it.  Where
+the equal split wins, C is the equal-split root against the single ball's.
+The rows from R = 5.4 (n >= 3) lie past the radius where mu_D1(A*) leaves
+[lb_1, lb_2].
 """
 
 FROZEN_DISK_EIGENVALUE = 104.36310556184917
@@ -46,4 +50,14 @@ FROZEN_LARGE_R_C = {
     (2, 5.4): 0.99992760333409429,
     (3, 4.8): 0.99873448529605627,
     (3, 5.0): 0.9993854957886734,
+    (2, 5.8): 0.99998924519094411,
+    (3, 5.4): 0.99987695723094028,
+    (5, 6.0): 0.99997324299841338,
+    (8, 5.0): 0.99666126317442127,
+    (8, 6.0): 0.99986857957700407,
+    (12, 5.1): 0.99437541719302296,
+    (12, 7.0): 0.99998810397526855,
+    (20, 6.0): 0.99683642072956763,
+    (40, 6.0): 0.99107011336439061,
+    (40, 6.25): 0.99256762927026813,
 }

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -14,6 +14,7 @@ from agplate import ball_spectrum
 from agplate.ball_spectrum import (
     MIN_RADIUS,
     SpectralMode,
+    _floors,
     eigenfunction_profile,
     eigenvalue_curve,
     lowest_dirichlet_root,
@@ -22,6 +23,7 @@ from agplate.ball_spectrum import (
     secular_h,
     secular_parts,
 )
+from agplate.errors import NoRootFound
 from agplate.fd_oracle import FdProblem, fd_lowest_eigenvalue
 from agplate.jab_solver import _half_term, jab_condition
 from closedform import bessel_zero, dirichlet_reference, plate_zero
@@ -30,18 +32,23 @@ from refvalues import FROZEN_DISK_EIGENVALUE, FROZEN_LAMBDA1
 RNG_SEED = 20260816
 
 
+def _mp_h(n, l, R, lam):
+    """h_R(lambda) from mpmath.hyp1f1 alone, at the working precision."""
+    z = mpmath.mpf(-0.5) * mpmath.mpf(R) ** 2
+    b = mpmath.mpf(n) / 2 + l
+    a_p = (mpmath.mpf(l) + lam) / 2
+    a_m = (mpmath.mpf(l) - lam) / 2
+    m_p = mpmath.hyp1f1(a_p, b, z)
+    m_m = mpmath.hyp1f1(a_m, b, z)
+    d_p = (a_p / b) * mpmath.hyp1f1(a_p + 1, b + 1, z)
+    d_m = (a_m / b) * mpmath.hyp1f1(a_m + 1, b + 1, z)
+    return d_p * m_m - d_m * m_p
+
+
 def reference_h(n, l, R, lam):
     """Recompute h_R(lambda) at 50 significant digits."""
     with mpmath.workdps(50):
-        z = mpmath.mpf(-0.5) * mpmath.mpf(R) ** 2
-        b = mpmath.mpf(n) / 2 + l
-        a_p = (mpmath.mpf(l) + lam) / 2
-        a_m = (mpmath.mpf(l) - lam) / 2
-        m_p = mpmath.hyp1f1(a_p, b, z)
-        m_m = mpmath.hyp1f1(a_m, b, z)
-        d_p = (a_p / b) * mpmath.hyp1f1(a_p + 1, b + 1, z)
-        d_m = (a_m / b) * mpmath.hyp1f1(a_m + 1, b + 1, z)
-        return float(d_p * m_m - d_m * m_p)
+        return float(_mp_h(n, l, R, lam))
 
 
 def test_secular_h_vanishes_at_zero():
@@ -258,6 +265,8 @@ def test_roots_interlace_with_dirichlet_eigenvalues():
             mu.append(brentq(m_plus, lb, ub, xtol=1e-300, rtol=1e-15))
         lam = lowest_eigenvalue(n, l, R).lam
         assert n + l < mu[0] < lam < mu[1], (n, l, R)
+        floor_1, floor_2 = _floors(n, l, R)
+        assert floor_1 < mu[0] and floor_2 < mu[1], (n, l, R)
 
 
 def count_scans(monkeypatch):
@@ -272,13 +281,48 @@ def count_scans(monkeypatch):
     return calls
 
 
-def test_open_bracket_falls_back_to_the_scan(monkeypatch):
-    # at R = 6 the root lies above the Dirichlet bound lb_2 (1.85 < n + l),
-    # so the fixed-step scan answers, with the same bits
+def test_open_bracket_raises_instead_of_scanning(monkeypatch):
+    # at R = 6 the root lies above lb_2, the old bracket's top; the floors
+    # bracket it, with no scan, at the 40-digit root of h_R
     calls = count_scans(monkeypatch)
-    mode = lowest_eigenvalue(2, 0, 6.0)
-    assert len(calls) == 1
-    assert mode.lam == scan_lowest_root(lambda t: secular_h(2, 0, 6.0, t), 6.0)
+    lam = lowest_eigenvalue(2, 0, 6.0).lam
+    assert calls == []
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda t: _mp_h(2, 0, 6.0, t), mpmath.mpf(lam))
+    assert lam == pytest.approx(float(root), rel=1e-12)
+    # an h of one sign leaves the bracket open: a typed error, no scan
+    monkeypatch.setattr(ball_spectrum, "secular_h", lambda n, l, R, t: 1.0)
+    with pytest.raises(NoRootFound, match=r"n=2, l=0, R=6\.0: .*bracket \["):
+        lowest_eigenvalue(2, 0, 6.0)
+    assert calls == []
+
+
+# the examples sit where the top end max(lb_2, n + l + 2), the better of
+# the two bounds taken alone, falls below lambda_1 and leaves that bracket
+# open
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 12),
+    l=st.integers(0, 2),
+    log_r=st.floats(math.log(MIN_RADIUS), math.log(12.0)),
+)
+@example(n=40, l=0, log_r=math.log(6.0))
+@example(n=40, l=0, log_r=math.log(6.25))
+@example(n=40, l=2, log_r=math.log(6.5))
+def test_floors_bracket_the_lowest_roots(n, l, log_r):
+    # from R of about 9 (n = 2) lambda_1 - n - l is below an ulp, and there
+    # floor_1 = n + l: the root may round onto the bracket's lower end
+    R = math.exp(log_r)
+    lo, hi = _floors(n, l, R)
+    lam = lowest_eigenvalue(n, l, R).lam
+    assert lo <= lam < hi
+    h_lo, h_hi = secular_h(n, l, R, lo), secular_h(n, l, R, hi)
+    assert (h_lo < 0.0) != (h_hi < 0.0)
+    if l == 0:
+        mu = lowest_dirichlet_root(n, R)
+        assert lo <= mu < hi
+        m_lo, m_hi = (secular_parts(n, 0, R, t)[0] for t in (lo, hi))
+        assert m_lo > 0.0 > m_hi
 
 
 @settings(deadline=None, max_examples=40)
@@ -317,10 +361,6 @@ def test_dirichlet_root_matches_mpmath():
     for n in (2, 3, 4, 5, 6, 8, 12, 20, 40):
         for X in (7e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0):
             lam = lowest_dirichlet_root(n, X)
-            if lam is None:
-                # the bracket stays open only at the largest radius
-                assert X == 5.0, (n, X)
-                continue
             assert lam == pytest.approx(dirichlet_reference(n, X), rel=1e-13)
 
 

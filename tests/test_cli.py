@@ -41,7 +41,8 @@ def test_eig_reports_missing_root(capsys, monkeypatch):
 
 
 def test_eig_reports_failed_precision_repair(capsys, monkeypatch):
-    # the root scan at R = 5 meets cancelling series that go to mpmath
+    # the bracketed root search at R = 5 meets cancelling series that go
+    # to mpmath
     def fail(*args, **kwargs):
         raise ValueError("hypsum failed to converge")
 

@@ -109,16 +109,21 @@ def test_c_constant_minimum_matches_the_full_profile(n, log_r):
 @pytest.mark.parametrize("n, R", sorted(FROZEN_LARGE_R_C))
 def test_large_radius_constant_matches_the_equal_split(n, R):
     # above R = 4.6 the warm-chained profile jumped to a higher root near
-    # A* and read C too high, by 7e-5 to 1.5e-3 at these rows
-    assert c_constant(n, R).C == pytest.approx(FROZEN_LARGE_R_C[n, R], rel=1e-9)
+    # A* and read C too high, by 7e-5 to 1.5e-3; past the old Dirichlet
+    # bracket's closing radius the same happened to the equal split itself
+    record = c_constant(n, R)
+    assert record.C == pytest.approx(FROZEN_LARGE_R_C[n, R], rel=1e-9)
+    assert record.A_min == half_mass_radius(n, R)
 
 
 @pytest.mark.parametrize("n, R", [(8, 5.0), (12, 5.1)])
 def test_c_constant_past_the_dirichlet_bracket_is_minimize_jabs(n, R):
-    # mu_D1(A*) is not bracketed on [lb_1, lb_2] at these rows; the equal
-    # split's cold scan found a higher root there and read C high by 2.7e-3
-    # and 5e-3, so the row takes minimize_jab's warm-chained profile instead
-    assert lowest_dirichlet_root(n, half_mass_radius(n, R)) is None
+    # mu_D1(A*) lies above lb_2(A*), past the old bracket [lb_1, lb_2], at
+    # these rows; the floors bracket it, and the endpoint minimum agrees
+    # with the full profile
+    a_star = half_mass_radius(n, R)
+    lb_2 = (bessel_zero(0.5 * n - 1.0, 2) / a_star) ** 2 + 0.5 * n
+    assert lowest_dirichlet_root(n, a_star) > lb_2
     record = c_constant(n, R)
     profile = minimize_jab(n, R)
     assert record.A_min == profile.A_min

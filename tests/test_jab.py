@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from agplate import jab_solver
-from agplate.ball_spectrum import lowest_eigenvalue, secular_h
+from agplate.ball_spectrum import (
+    _floors,
+    lowest_dirichlet_root,
+    lowest_eigenvalue,
+    secular_h,
+)
 from agplate.constants import sweep_radii
 from agplate.jab_solver import (
     JabSolution,
@@ -108,65 +113,65 @@ def test_equal_split_root_is_the_dirichlet_root(n, A):
 
 
 def test_warm_start_agrees_with_cold_start():
-    cold = solve_jab(3, 0.4, 0.7)
-    warm = solve_jab(3, 0.4, 0.7, lambda_hint=cold.lam)
-    assert warm.lam == pytest.approx(cold.lam, rel=1e-10)
-    # a hint far from any root must not break the fallback scan
-    off = solve_jab(3, 0.4, 0.7, lambda_hint=1e-4)
-    assert off.lam == pytest.approx(cold.lam, rel=1e-10)
+    # no solve is warm-started any more: each brackets its own root on the
+    # floors and mu_D1 of its radii, so none reaches the scan, and the root
+    # is the one the cold scan found
+    with mock.patch.object(
+        jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
+    ) as scan:
+        sol = solve_jab(3, 0.4, 0.7)
+    assert scan.call_count == 0
+    assert sol.lam == pytest.approx(29.7999191258, rel=1e-10)
 
 
 def test_hint_at_second_root_returns_lowest_root():
-    cold = solve_jab(3, 0.4, 0.7)
-    assert cold.lam == pytest.approx(29.7999191258, rel=1e-10)
-    # a hint at the second root (near 67.219) brackets it; the sign checks
-    # at the bracket's lower end see the lowest root below it
+    # the second root (near 67.219) lies above the bracket, which ends at
+    # or below nu_2 = min(mu_D1(0.4), mu_D2(0.7)); the lowest root is returned
     second = brentq(
         lambda lam: jab_condition(3, 0.4, 0.7, lam), 60.0, 70.0, xtol=1e-14
     )
     assert second == pytest.approx(67.219, rel=1e-4)
-    warm = solve_jab(3, 0.4, 0.7, lambda_hint=second)
-    assert warm.lam == pytest.approx(cold.lam, rel=1e-10)
-
-
-@pytest.mark.parametrize(
-    "factor, cold_scans", [(1.0, 0), (1.05, 0), (0.85, 0), (0.5, 1), (2.0, 1)]
-)
-def test_warm_start_widens_before_falling_back(factor, cold_scans):
-    # 5% and 15% off need the widened brackets; 0.5 and 2 need the cold scan
-    cold = solve_jab(3, 0.4, 0.7)
-    with mock.patch.object(
-        jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
-    ) as scan:
-        warm = solve_jab(3, 0.4, 0.7, lambda_hint=factor * cold.lam)
-    assert scan.call_count == cold_scans
-    assert warm.lam == pytest.approx(cold.lam, rel=1e-10)
+    lam = solve_jab(3, 0.4, 0.7).lam
+    assert lam == pytest.approx(29.7999191258, rel=1e-10)
+    assert lowest_dirichlet_root(3, 0.7) <= lam <= lowest_dirichlet_root(3, 0.4)
 
 
 @st.composite
-def _hinted_pairs(draw):
-    n = draw(st.integers(2, 5))
-    R = draw(st.floats(0.05, 3.0))
-    A = draw(st.floats(0.0, 1.0)) * half_mass_radius(n, R)
-    factor = draw(st.floats(0.5, 2.0))
-    return n, R, A, factor
+def _pairs(draw):
+    n = draw(st.integers(2, 8))
+    R = math.exp(draw(st.floats(math.log(0.05), math.log(8.0))))
+    share = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return n, R, share * half_mass_radius(n, R)
 
 
-# the examples pin three paths: at the equal split two roots lie below the
-# bracket around the third, so F alone passes and the ball check sends the
-# solve to the cold scan; the widest bracket holds no root; the bracket
-# needs widening
-@settings(deadline=None)
-@given(_hinted_pairs())
-@example((3, 3.0, 2.794853262264966, 2.0))
-@example((2, 0.05, 0.0, 0.5))
-@example((5, 3.0, 0.0, 1.01))
-def test_hinted_root_matches_cold_root(case):
-    n, R, A, factor = case
+# the first example is a close pair: its two lowest roots, 3.000145 and
+# 3.001555, lie 1.4e-3 apart on either side of mu_D1(A), and a fixed-step
+# scan steps over both; the second is a split equal to rounding, where F at
+# mu_D1(A) keeps its sign; the third is the single ball
+@settings(deadline=None, max_examples=40)
+@given(_pairs())
+@example((3, 5.539442633140753, 4.6227024339439))
+@example((3, 3.0, 2.794853262264966))
+@example((2, 0.05, 0.0))
+def test_pair_root_lies_between_the_dirichlet_roots(case):
+    # mu_D1(B) = nu_1 <= lambda_1(A, B) <= nu_2 <= mu_D1(A) for A < B, and
+    # F changes sign across the root.  The step is 1e-9 relative, or 1% of
+    # lambda - n where the roots crowd closer than that above the whole
+    # space's level n (R from about 6)
+    n, R, A = case
     B = complement_radius(n, R, A)
-    cold = solve_jab(n, A, B)
-    warm = solve_jab(n, A, B, lambda_hint=factor * cold.lam)
-    assert warm.lam == pytest.approx(cold.lam, rel=1e-9)
+    lam = solve_jab(n, A, B).lam
+    assert lowest_dirichlet_root(n, B) * (1.0 - 1e-12) <= lam
+    # below floor_1(A) the root is below mu_D1(A) without solving for it,
+    # which a tiny A would make a root near j^2 / A^2; A may round to 0
+    assert (
+        A == 0.0
+        or lam < _floors(n, 0, A)[0]
+        or lam <= lowest_dirichlet_root(n, A) * (1.0 + 1e-12)
+    )
+    step = min(1e-9 * lam, 1e-2 * (lam - n))
+    assert jab_condition(n, A, B, lam - step) > 0.0
+    assert jab_condition(n, A, B, lam + step) < 0.0
 
 
 def test_condition_validation():
@@ -234,10 +239,9 @@ def test_default_grid_matches_fine_grid_at_an_exact_endpoint(n, R):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("R", [0.05, 1.0, 3.0])
 def test_minimize_hint_returns_the_unhinted_minimum(n, R):
-    # the A = 0 sample is warm-started from the R-ball's clamped root, which
-    # is its exact root, so no sample of the profile scans cold; every
-    # warm-started root is the one an unhinted solve certifies, and so is
-    # the minimum picked from them
+    # no sample of the profile scans cold, the A = 0 sample's root is the
+    # R-ball's clamped root, every profile root is the one a separate solve
+    # certifies, and so is the minimum picked from them
     with mock.patch.object(
         jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
     ) as scan:
