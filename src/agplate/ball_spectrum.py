@@ -62,7 +62,9 @@ levels n + l and n + l + 2.  W does not decrease in a, so Bessel zeros
 shaved below their true values keep both floors lower bounds.  The
 bracket [floor_1, floor_2] closes (floor_2 > lambda_1) for every n <= 40,
 l <= 3 and R in [1e-3, 12] tested, and the Bessel zeros are constants of
-(n, l), computed once per order nu.  A bracket that does not close raises
+(n, l), computed once per order nu with mpmath.hyp0f1.  Every root is
+refined by brentq, Brent's method transcribed from scipy's brentq.c, so
+importing this module loads no scipy.  A bracket that does not close raises
 NoRootFound naming n, l, R and the bracket; no search runs past it.
 
 scan_lowest_root, a fixed-step scan in the scaled variable lambda R^2, is
@@ -73,14 +75,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import mpmath
 import numpy as np
-from scipy import optimize, special
-from scipy.optimize import brentq
 
-from .errors import NoRootFound, check_degree, check_dimension
+from .errors import NonConvergent, NoRootFound, check_degree, check_dimension
 from .kummer import KummerParams, eval_m
 # not called here, but perfbench/tracer.py requires this binding
 from .kummer import eval_m_dz  # noqa: F401
@@ -94,7 +96,12 @@ MIN_RADIUS = 1e-3
 # relative shave that keeps a computed Bessel zero below the true one
 BESSEL_ZERO_SHAVE = 1e-12
 # brentq's smallest accepted relative tolerance
-BRENT_RTOL_MIN = 4.0 * np.finfo(float).eps
+BRENT_RTOL_MIN = 4.0 * sys.float_info.epsilon
+# brentq's iteration limit, scipy's default
+BRENT_MAXITER = 100
+# Qu & Wong (1999): j_{nu,k} > nu + c_k nu^(1/3) for nu > 0, with
+# c_k = -a_k / 2^(1/3) from the Airy zeros a_1, a_2; rounded down
+QU_WONG_LOWER = (1.8557, 3.2446)
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,91 @@ def secular_h(n: int, l: int, R: float, lam: float) -> float:
     return d_p * m_m - d_m * m_p
 
 
+def brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    *,
+    fa: float | None = None,
+    fb: float | None = None,
+) -> float:
+    """Brent's method: the root of f on [xa, xb], where f changes sign.
+
+    A line-for-line transcription of zeroin as scipy's brentq.c writes it
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4),
+    so it takes the same iterates as scipy.optimize.brentq and returns the
+    same bits.  fa and fb, when given, are f(xa) and f(xb); the search then
+    makes no evaluation at the ends.  It stops when f vanishes or the
+    bracket's half-width falls below (xtol + rtol |x|) / 2.  Ends of one
+    sign, a NaN value of f, xtol <= 0 and rtol < BRENT_RTOL_MIN raise
+    ValueError; BRENT_MAXITER iterations without convergence raise
+    NonConvergent.
+    """
+    if not (xtol > 0.0 and rtol >= BRENT_RTOL_MIN):
+        raise ValueError(f"need xtol > 0 and rtol >= {BRENT_RTOL_MIN:g}")
+    xpre, xcur = float(xa), float(xb)
+    fpre = float(f(xpre) if fa is None else fa)
+    fcur = float(f(xcur) if fb is None else fb)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("f is NaN at an end of the bracket")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # where this underflows to 0, C's step is inf or NaN, which
+                # fails the test below
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                stry = num / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"f is NaN at x={xcur!r}")
+    raise NonConvergent(
+        f"Brent's method did not converge in {BRENT_MAXITER} iterations"
+    )
+
+
+# a private name for the same Brent, which perfbench/tracer.py does not wrap
+_brent = brentq
+
+
 def scan_lowest_root(f: Callable[[float], float], radius: float) -> float:
     """Smallest root of f above REJECT_BELOW, by fixed-step sign scanning.
 
@@ -186,22 +278,41 @@ def scan_lowest_root(f: Callable[[float], float], radius: float) -> float:
 def _bessel_zeros(nu: float) -> tuple[float, float]:
     """First two positive zeros of J_nu, shaved to sure lower bounds.
 
-    The zeros exceed nu and are more than 3 apart, so a step of 0.5 from nu
-    separates them.  They are refined with scipy's brentq under its module
-    name, which keeps this one-time work out of the Brent counts of the
-    module's own brentq binding.
+    The zeros are those of j(t) = J_nu(t) (nu/t)^nu, a positive multiple of
+    J_nu for t > 0 that keeps J_nu's size where the zeros lie.  Its series
+    is (nu/2)^nu / Gamma(nu + 1) 0F1(; nu + 1; -t^2/4), summed by
+    mpmath.hyp0f1 at 17 digits; mpmath.besselj takes a general path
+    several times slower for orders that are not integers.  The zeros are
+    more than 3 apart, so steps of 0.5 separate them.  The first scan
+    starts at the Qu-Wong bound for j_{nu,1}, the second at the larger of
+    the bound for j_{nu,2} and the first zero plus 3, or where the first
+    scan stopped if that is further on.  Each zero is refined with this
+    module's Brent under a private name, which keeps this one-time work out
+    of the counts of the brentq binding.
     """
+
+    def j(t: float) -> float:
+        return float(scale * mpmath.hyp0f1(b, -0.25 * mpmath.mpf(t) ** 2))
+
     zeros = []
-    x, fx = nu, special.jv(nu, nu)
-    while len(zeros) < 2:
-        xn = x + 0.5
-        fn = special.jv(nu, xn)
-        if (fx < 0.0) != (fn < 0.0):
-            root = optimize.brentq(
-                lambda t: special.jv(nu, t), x, xn, xtol=1e-15, rtol=BRENT_RTOL_MIN
-            )
+    x = -math.inf
+    with mpmath.workdps(17):
+        b = mpmath.mpf(nu) + 1
+        scale = (mpmath.mpf(nu) / 2) ** nu * mpmath.rgamma(b)
+        for c in QU_WONG_LOWER:
+            lower = nu + c * nu ** (1.0 / 3.0)
+            if zeros:
+                lower = max(lower, zeros[0] + 3.0)
+            if x < lower:
+                x = lower
+                fx = j(x)
+            xn, fn = x + 0.5, j(x + 0.5)
+            while (fx < 0.0) == (fn < 0.0):
+                x, fx = xn, fn
+                xn, fn = x + 0.5, j(x + 0.5)
+            root = _brent(j, x, xn, 1e-15, BRENT_RTOL_MIN, fa=fx, fb=fn)
             zeros.append(root * (1.0 - BESSEL_ZERO_SHAVE))
-        x, fx = xn, fn
+            x, fx = xn, fn
     return zeros[0], zeros[1]
 
 
@@ -235,19 +346,12 @@ def _bracketed_root(
     sign change there is that root.  Without one, NoRootFound names the
     problem (where) and the bracket.
     """
-    ends = {lo: f(lo), hi: f(hi)}
-    if not ((ends[lo] < 0.0 < ends[hi]) or (ends[hi] < 0.0 < ends[lo])):
+    f_lo, f_hi = f(lo), f(hi)
+    if not ((f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo)):
         raise NoRootFound(
             f"{where}: no sign change on the certified bracket [{lo!r}, {hi!r}]"
         )
-    # brentq starts by evaluating both ends again; hand it these values
-    return brentq(
-        lambda t: ends.pop(t) if t in ends else f(t),
-        lo,
-        hi,
-        xtol=ROOT_XTOL,
-        rtol=BRENT_RTOL_MIN,
-    )
+    return brentq(f, lo, hi, ROOT_XTOL, BRENT_RTOL_MIN, fa=f_lo, fb=f_hi)
 
 
 def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:

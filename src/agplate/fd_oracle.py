@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import NonConvergent, check_degree, check_dimension
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MIN_MESH = 64
 ITERATION_TOL = 1e-10
@@ -96,6 +97,9 @@ class FdProblem:
 
 def _assemble(problem: FdProblem) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Operator rows L, row weights wfull, and mass diagonal w."""
+    # scipy is imported on first use, so importing agplate does not load it
+    import scipy.sparse as sp
+
     n, l, R, m = problem.n, problem.l, problem.R, problem.mesh
     density = problem.density
     d = R / (m + 1)
@@ -131,6 +135,9 @@ def fd_lowest_eigenvalue(
     max_iterations: int = MAX_ITERATIONS,
 ) -> float:
     """Fundamental clamped eigenvalue by inverse power iteration."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     L, wfull, w = _assemble(problem)
     K = (L.T @ sp.diags(wfull) @ L).tocsc()
     lu = splu(K)

@@ -91,7 +91,9 @@ from .ball_spectrum import (
 # not called here, but perfbench/tracer.py requires this binding
 from .ball_spectrum import scan_lowest_root  # noqa: F401
 from .errors import check_dimension
-from .measure import complement_radius, half_mass_radius
+from .measure import phi_inverse, phi_volume
+# not called here, but perfbench/tracer.py requires these bindings
+from .measure import complement_radius, half_mass_radius  # noqa: F401
 
 GRID_POINTS = 16
 ENDPOINT_TIE_REL = 1e-9
@@ -234,6 +236,27 @@ def _check_split(n: int, R: float, grid_points: int) -> None:
         raise ValueError("need at least 16 grid points")
 
 
+def _split_grid(
+    n: int, R: float, grid_points: int
+) -> list[tuple[float, float]]:
+    """minimize_jab's (A, B) samples, with Phi(R) computed once.
+
+    A runs over a uniform inclusive grid on [0, A*(R)] and B fills the rest
+    of the R-ball's weighted volume: A* = phi_inverse(Phi(R) / 2) and each
+    interior B = phi_inverse(Phi(R) - Phi(A)), the same bits as
+    half_mass_radius and complement_radius.  B = R exactly at A = 0 and
+    B = A* exactly at the equal split.
+    """
+    total = phi_volume(n, R)
+    a_star = phi_inverse(n, 0.5 * total)
+    inner = [float(a) for a in np.linspace(0.0, a_star, grid_points)[1:-1]]
+    return (
+        [(0.0, R)]
+        + [(a, phi_inverse(n, total - phi_volume(n, a))) for a in inner]
+        + [(a_star, a_star)]
+    )
+
+
 def _lowest_sample(samples):
     """The smallest-A (A, B, mu) within ENDPOINT_TIE_REL of the lowest mu."""
     lowest = min(mu for _, _, mu in samples)
@@ -255,11 +278,7 @@ def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabReco
     minimum shows at grid resolution.
     """
     _check_split(n, R, grid_points)
-    a_star = half_mass_radius(n, R)
-    solutions: list[JabSolution] = []
-    for i, a in enumerate(np.linspace(0.0, a_star, grid_points)):
-        b = a_star if i == grid_points - 1 else complement_radius(n, R, float(a))
-        solutions.append(solve_jab(n, float(a), b))
+    solutions = [solve_jab(n, a, b) for a, b in _split_grid(n, R, grid_points)]
 
     A_min, B_min, J_min = _lowest_sample([(s.A, s.B, s.mu) for s in solutions])
     return MinJabRecord(
@@ -284,13 +303,12 @@ def split_minimum(
     so the two agree on the minimizer.
     """
     _check_split(n, R, grid_points)
-    a_star = half_mass_radius(n, R)
+    grid = _split_grid(n, R, grid_points)
+    a_star = grid[-1][0]
     end = solve_jab(n, a_star, a_star)
     lam_end = min(lambda_1, end.lam)
     samples = [(0.0, R, lambda_1 * lambda_1)]
-    for a in np.linspace(0.0, a_star, grid_points)[1:-1]:
-        a = float(a)
-        b = complement_radius(n, R, a)
+    for a, b in grid[1:-1]:
         bound = min(_floors(n, 0, a)[0], _floors(n, 0, b)[1])
         if lam_end < bound and jab_condition(n, a, b, lam_end) > 0.0:
             continue

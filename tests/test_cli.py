@@ -1,6 +1,13 @@
-"""End-to-end tests for the command line interface (run in process)."""
+"""End-to-end tests for the command line interface.
+
+They run in process, except the check that runs without scipy.
+"""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -197,3 +204,44 @@ def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+# prints library results and CLI output; argv[1] == "blocked" hides scipy
+NO_SCIPY_SCRIPT = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+import agplate
+from agplate.cli import main
+print(repr(agplate.lowest_eigenvalue(3, 1, 2.0)))
+print(repr(agplate.c_constant(3, 2.0)))
+codes = [
+    main(["eig", "--n", "3", "--R", "2.0", "--l", "1"]),
+    main(["const", "--n", "3", "--R", "2.0"]),
+    main(["minjab", "--n", "2", "--R", "1.5"]),
+]
+# the blocked run's own None entry is not an import
+loaded = [k for k, m in sys.modules.items()
+          if k.split(".")[0] == "scipy" and m is not None]
+sys.stderr.write(repr(loaded))
+sys.exit(max(codes))
+"""
+
+
+def test_series_route_runs_without_scipy():
+    # only the mesh oracle needs scipy; everything else must give the same
+    # bytes with scipy unimportable
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blocked, available = [
+        subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT, mode],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            check=True,
+        )
+        for mode in ("blocked", "available")
+    ]
+    assert blocked.stdout == available.stdout
+    assert blocked.stdout.count(b"\n") > 20
+    assert blocked.stderr == available.stderr == b"[]"

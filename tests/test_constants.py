@@ -48,6 +48,19 @@ def test_unit_ball_in_the_plane_is_the_tie_case():
     assert record.B_min == 1.0
 
 
+def test_returned_numbers_are_python_floats():
+    # a numpy scalar leaking out of a root search would print as
+    # np.float64(...) in every repr
+    mode = lowest_eigenvalue(3, 1, 2.0)
+    pair = jab_solver.solve_jab(3, 0.5, 1.2)
+    record = c_constant(3, 2.0)
+    for value in (
+        mode.lam, mode.Lambda, pair.lam, pair.mu, record.Lambda1,
+        record.A_min, record.B_min, record.J_min, record.C,
+    ):
+        assert type(value) is float, repr(value)
+
+
 def test_record_internal_consistency():
     for n, R in [(2, 1.0), (2, 1.5), (3, 0.4)]:
         r = c_constant(n, R)
