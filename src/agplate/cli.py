@@ -20,11 +20,9 @@ flag; two runs with identical flags produce identical bytes.  Grids for
 curve and sweep are left-open: steps points on (r_min, r_max], endpoint
 included, r_min excluded.
 
-The environment variable CPLD_PRECISION forces the working precision of
-the series evaluator: "double" skips the mpmath repair of cancelled series,
-"extended" always applies it, unset or "auto" repairs exactly when the
-cancellation flag trips (largest term above 1e8 times the sum). A repair
-that mpmath cannot complete exits with code 3.
+The series evaluator repairs a cancelled series (largest term above 1e8
+times the sum) with mpmath; a repair that mpmath cannot complete exits
+with code 3.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -48,7 +47,6 @@ from .constants import (
 from .errors import NonConvergent, NoRootFound
 from .fd_oracle import ANTI_GAUSS, UNWEIGHTED, FdProblem, fd_lowest_eigenvalue
 from .jab_solver import GRID_POINTS, minimize_jab, solve_jab
-from .kummer import _precision_mode
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -131,19 +129,7 @@ def _cmd_minjab(args: argparse.Namespace) -> int:
 
 def _cmd_const(args: argparse.Namespace) -> int:
     rec = c_constant(args.n, args.R, args.grid_points)
-    payload = {
-        "n": rec.n,
-        "R": rec.R,
-        "Lambda1": rec.Lambda1,
-        "lambda1": rec.lambda1,
-        "A_min": rec.A_min,
-        "B_min": rec.B_min,
-        "J_min": rec.J_min,
-        "C": rec.C,
-        "C_raw": rec.C_raw,
-        "status": rec.status,
-    }
-    sys.stdout.write(_json_line(payload))
+    sys.stdout.write(_json_line(asdict(rec)))
     return 0
 
 
@@ -254,9 +240,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # checked up front, so subcommands that evaluate no series refuse
-        # an invalid CPLD_PRECISION too
-        _precision_mode()
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"agplate: {exc}\n")

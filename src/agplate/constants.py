@@ -22,7 +22,8 @@ no_root or nonconvergent instead of aborting the sweep.  Rows are
 independent, so they may be computed by a process pool; ordering and
 content do not depend on the worker count.
 
-CSV layout (write_csv/read_csv): header mandatory, columns exactly
+CSV layout (write_csv/read_csv): header mandatory, columns exactly the
+fields of ConstantRecord, in order,
 
     n,R,Lambda1,lambda1,A_min,B_min,J_min,C,C_raw,status
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,7 +47,6 @@ from .jab_solver import GRID_POINTS, split_minimum
 from .jab_solver import minimize_jab  # noqa: F401
 
 CLAMP_OVERSHOOT = 1e-8
-CSV_HEADER = "n,R,Lambda1,lambda1,A_min,B_min,J_min,C,C_raw,status"
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no_root"
 STATUS_NONCONVERGENT = "nonconvergent"
@@ -71,6 +71,11 @@ class ConstantRecord:
     C: float
     C_raw: float
     status: str = STATUS_OK
+
+
+# the CSV columns are the record's fields, in order: n, eight floats, status
+CSV_HEADER = ",".join(f.name for f in fields(ConstantRecord))
+_FIELD_COUNT = len(fields(ConstantRecord))
 
 
 def c_constant(n: int, R: float, grid_points: int = GRID_POINTS) -> ConstantRecord:
@@ -105,11 +110,8 @@ def c_constant(n: int, R: float, grid_points: int = GRID_POINTS) -> ConstantReco
 
 
 def _failed_record(n: int, R: float, status: str) -> ConstantRecord:
-    nan = float("nan")
-    return ConstantRecord(
-        n=n, R=R, Lambda1=nan, lambda1=nan, A_min=nan, B_min=nan,
-        J_min=nan, C=nan, C_raw=nan, status=status,
-    )
+    # every field but n, R and status is a result, and NaN
+    return ConstantRecord(n, R, *[math.nan] * (_FIELD_COUNT - 3), status)
 
 
 def _sweep_task(task: tuple[int, float, int]) -> ConstantRecord:
@@ -159,22 +161,8 @@ def format_records(records: Iterable[ConstantRecord]) -> str:
     """Render records as the canonical CSV text (LF endings)."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.n),
-                    _fmt(r.R),
-                    _fmt(r.Lambda1),
-                    _fmt(r.lambda1),
-                    _fmt(r.A_min),
-                    _fmt(r.B_min),
-                    _fmt(r.J_min),
-                    _fmt(r.C),
-                    _fmt(r.C_raw),
-                    r.status,
-                )
-            )
-        )
+        n, *floats, status = astuple(r)
+        lines.append(",".join([str(n), *map(_fmt, floats), status]))
     return "\n".join(lines) + "\n"
 
 
@@ -194,20 +182,8 @@ def read_csv(path: str | Path) -> list[ConstantRecord]:
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 10:
+        if len(parts) != _FIELD_COUNT:
             raise ValueError(f"malformed row: {line!r}")
-        records.append(
-            ConstantRecord(
-                n=int(parts[0]),
-                R=float(parts[1]),
-                Lambda1=float(parts[2]),
-                lambda1=float(parts[3]),
-                A_min=float(parts[4]),
-                B_min=float(parts[5]),
-                J_min=float(parts[6]),
-                C=float(parts[7]),
-                C_raw=float(parts[8]),
-                status=parts[9],
-            )
-        )
+        n, *floats, status = parts
+        records.append(ConstantRecord(int(n), *map(float, floats), status))
     return records

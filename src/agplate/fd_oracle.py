@@ -131,7 +131,6 @@ def _assemble(problem: FdProblem) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray
 
 def fd_lowest_eigenvalue(
     problem: FdProblem,
-    tol: float = ITERATION_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> float:
     """Fundamental clamped eigenvalue by inverse power iteration."""
@@ -150,7 +149,7 @@ def fd_lowest_eigenvalue(
         x = u / math.sqrt(float(u @ (w * u)))
         q = L @ x
         theta = float(q @ (wfull * q))
-        if it >= 2 and abs(theta - theta_prev) <= tol * abs(theta):
+        if it >= 2 and abs(theta - theta_prev) <= ITERATION_TOL * abs(theta):
             return theta
         theta_prev = theta
     raise NonConvergent(

@@ -19,18 +19,14 @@ and so are the repairs: a flagged M is replaced by
 mpmath measures the cancellation of its own series and raises its working
 precision until 17 significant digits are correct; if it cannot, the
 evaluation raises NonConvergent rather than return a value it cannot back
-up.  The term count and largest terms still describe the double pass.
+up.  This is the one precision policy: a value is repaired exactly when its
+flag is set.  The term count and largest terms still describe the double
+pass.
 
 The double sum loses about ``2e-16 * max_term_magnitude / |value|`` in
 relative accuracy, so an unflagged value (ratio at most 1e8) is accurate to
 about 1e-8 relative, and to 13+ digits below a ratio of ~1e3. A flagged
 value is within about an ulp of M (or M'), whatever the ratio.
-
-The environment variable ``CPLD_PRECISION`` forces the working precision
-of ``eval_m`` and ``eval_m_dz``, for M and M' alike: ``double`` disables the
-mpmath repair (the flags still report the cancellation ratios),
-``extended`` repairs every evaluation. Unset or ``auto`` means automatic
-(repair exactly the flagged values).
 
 The second, singular solution of Kummer's equation never enters any formula
 in this package; regularity at the origin is built into the ansatz rather
@@ -40,7 +36,6 @@ than checked numerically.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,9 +75,9 @@ class EvalResult(NamedTuple):
     own largest term and flag: cancellation_flag is true iff
     max_term_magnitude / max(|value|, TINY) exceeds CANCELLATION_RATIO, and
     derivative_flag likewise for derivative_max_term and derivative.  A
-    flagged value was recomputed by mpmath (when the precision mode allows
-    it) independently of the other.  ``eval_m_dz`` has no second derivative
-    to report and leaves the derivative fields None.
+    flagged value was recomputed by mpmath independently of the other.
+    ``eval_m_dz`` has no second derivative to report and leaves the
+    derivative fields None.
 
     Immutable like a frozen dataclass, but a NamedTuple is about three times
     cheaper to build, and one is built per series evaluation.
@@ -95,18 +90,6 @@ class EvalResult(NamedTuple):
     derivative: float | None = None
     derivative_max_term: float | None = None
     derivative_flag: bool | None = None
-
-
-def _precision_mode() -> str:
-    mode = os.environ.get("CPLD_PRECISION", "")
-    if mode in ("", "auto"):
-        return "auto"
-    if mode in ("double", "extended"):
-        return mode
-    raise ValueError(
-        "CPLD_PRECISION must be 'double', 'extended' or 'auto', "
-        f"got {mode!r}"
-    )
 
 
 def _sum_double(a: float, b: float, z: float) -> tuple[float, int, float]:
@@ -197,9 +180,17 @@ def _sum_extended(a: float, b: float, z: float) -> float:
     cancellation it returns an exact zero (M(b + 1, b, -b) = 0 cancels without
     bound) instead of climbing on to its 4000-bit cap; any failure it reports
     is raised as NonConvergent.
+
+    The series coefficients need a + k exactly, which 17 digits hold only
+    for |a| below about 1e15; past that the working digits grow with
+    log10 |a| (the Dirichlet roots of a ball of radius X have
+    a ~ j^2 / (2 X^2)).
     """
+    digits = 17
+    if a:
+        digits += max(0, math.ceil(math.log10(abs(a))) - 15)
     try:
-        with mpmath.workdps(17):
+        with mpmath.workdps(digits):
             return float(mpmath.hyp1f1(a, b, z, zeroprec=2000, maxprec=4000))
     except (ValueError, mpmath.mp.NoConvergence) as exc:
         raise NonConvergent(
@@ -214,23 +205,22 @@ def _flagged(max_term: float, value: float) -> bool:
 def eval_m(p: KummerParams, z: float) -> EvalResult:
     """Evaluate M(p.a, p.b, z) and its z-derivative in one series pass.
 
-    Each of the two values is checked and, in auto mode when flagged,
-    repaired on its own.  Raises NonConvergent if the series needs more than
-    MAX_TERMS terms or an mpmath repair fails.
+    Each of the two values is checked and, when flagged, repaired on its
+    own.  Raises NonConvergent if the series needs more than MAX_TERMS
+    terms or an mpmath repair fails.
     """
     if not math.isfinite(z):
         raise ValueError("z must be finite")
     a, b = p.a, p.b
-    mode = _precision_mode()
     value, deriv, terms, max_t, max_d = _sum_pair(a, b, z)
     flag = _flagged(max_t, value)
     # with |a| < TINY every M' term starts near or below the smallest normal
     # double and keeps few significant bits, so that sum is repaired as well
     dflag = _flagged(max_d, deriv) or 0.0 < abs(a) < TINY
-    if mode == "extended" or (flag and mode == "auto"):
+    if flag:
         value = _sum_extended(a, b, z)
         flag = _flagged(max_t, value)
-    if mode == "extended" or (dflag and mode == "auto"):
+    if dflag:
         deriv = a / b * _sum_extended(a + 1.0, b + 1.0, z)
         dflag = _flagged(max_d, deriv)
     return EvalResult(value, terms, max_t, flag, deriv, max_d, dflag)

@@ -36,8 +36,8 @@ def unit_sphere_area(n: int) -> float:
 def phi_volume(n: int, R: float) -> float:
     """Weighted volume Phi(n, R) = beta_n R^n / n * M(n/2, n/2 + 1, R^2/2).
 
-    The series is summed in double precision whatever CPLD_PRECISION says:
-    its terms are all positive, so there is no cancellation to repair.
+    The series is summed in double precision only: its terms are all
+    positive, so there is no cancellation to repair.
     Above R of about 37.7, Phi overflows a double and the series raises
     NonConvergent.
     """

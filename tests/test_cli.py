@@ -58,16 +58,16 @@ def test_eig_reports_failed_precision_repair(capsys, monkeypatch):
     assert "agplate:" in capsys.readouterr().err
 
 
-def test_precision_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("CPLD_PRECISION", "bogus")
-    assert main(["eig", "--n", "2", "--R", "1.0"]) == 2
-    assert "CPLD_PRECISION" in capsys.readouterr().err
-
-
-def test_precision_env_accepts_known_modes(capsys, monkeypatch):
-    monkeypatch.setenv("CPLD_PRECISION", "double")
-    payload = run_json(capsys, ["eig", "--n", "2", "--R", "1.0"])
-    assert payload["Lambda"] > 0.0
+@pytest.mark.parametrize("setting", ["bogus", "double"])
+def test_precision_env_is_ignored(capsys, monkeypatch, setting):
+    # the series engine has one repair policy and reads no environment
+    argv = ["eig", "--n", "2", "--R", "1.0"]
+    monkeypatch.delenv("CPLD_PRECISION", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("CPLD_PRECISION", setting)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unset
 
 
 def test_curve_emits_csv(capsys):
@@ -140,6 +140,15 @@ def test_const_reports_all_fields(capsys):
     assert set(payload) == set(CSV_HEADER.split(","))
     assert payload["status"] == "ok"
     assert payload["C"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sweep_row_layout_is_the_literal_contract(capsys):
+    # the schema is stated once, by ConstantRecord; pin it to the text of
+    # the contract rather than to itself
+    assert CSV_HEADER == "n,R,Lambda1,lambda1,A_min,B_min,J_min,C,C_raw,status"
+    assert main(["const", "--n", "3", "--R", "2.0"]) == 0
+    keys = list(json.loads(capsys.readouterr().out))
+    assert ",".join(keys) == CSV_HEADER
 
 
 def test_const_default_grid_matches_library_default(capsys):

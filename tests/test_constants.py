@@ -273,7 +273,7 @@ def test_format_is_full_precision():
 def test_default_grid_sweep_matches_frozen_data_at_exact_endpoints():
     # the 480-point acceptance sweep on the default grid: the frozen C under
     # the acceptance rule, every minimizer exactly at A = 0 or A = A*, and
-    # every split solve warm-started without a cold-scan fallback
+    # every root bracketed on certified floors, never found by a scan
     with mock.patch.object(
         jab_solver, "scan_lowest_root", wraps=jab_solver.scan_lowest_root
     ) as scan:

@@ -112,6 +112,18 @@ def test_equal_split_root_is_the_dirichlet_root(n, A):
     )
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_equal_split_of_a_tiny_ball_is_the_flat_dirichlet_root(n):
+    # mu_D1(X) X^2 -> j_{n/2-1,1}^2 as X -> 0, with a correction of n/2 X^2.
+    # The series repairs there meet a = lambda/2 of 1e28 to 1e61; with too
+    # few digits for a + k they gave mu_D2 (5.27 mu_D1 at n = 2, X = 1e-14)
+    j2 = bessel_zero(0.5 * n - 1.0, 1) ** 2
+    for X in (1e-14, 1e-20, 1e-30):
+        mu = lowest_dirichlet_root(n, X)
+        assert mu * X * X == pytest.approx(j2, rel=1e-14)
+        assert solve_jab(n, X, X).lam == mu
+
+
 def test_warm_start_agrees_with_cold_start():
     # no solve is warm-started any more: each brackets its own root on the
     # floors and mu_D1 of its radii, so none reaches the scan, and the root

@@ -295,28 +295,33 @@ def test_mpmath_failure_is_nonconvergent(monkeypatch):
         eval_m(KummerParams(a, b), z)
 
 
-def test_precision_mode_double(monkeypatch):
-    monkeypatch.setenv("CPLD_PRECISION", "double")
+@pytest.mark.parametrize("setting", ["double", "extended", "quad"])
+def test_precision_env_is_ignored(monkeypatch, setting):
+    # one repair policy, whatever CPLD_PRECISION says: a cancelled value is
+    # repaired, an uncancelled one is not, bit for bit as with it unset
+    cases = [(1.0, 2.0, 1.0), EXTREME_CASES[1]]
+    monkeypatch.delenv("CPLD_PRECISION", raising=False)
+    unset = [eval_m(KummerParams(a, b), z) for a, b, z in cases]
+    monkeypatch.setenv("CPLD_PRECISION", setting)
+    for (a, b, z), ref in zip(cases, unset):
+        assert eval_m(KummerParams(a, b), z) == ref
     a, b, z = EXTREME_CASES[1]
-    r = eval_m(KummerParams(a, b), z)
-    assert r.cancellation_flag
-    # the raw double sum has lost essentially all significant digits
-    assert abs(r.value - m_ref(a, b, z)) > 1e-4 * abs(m_ref(a, b, z))
+    assert unset[1].cancellation_flag
+    assert unset[1].value == pytest.approx(m_ref(a, b, z), rel=5e-13)
 
 
-def test_precision_mode_extended(monkeypatch):
-    monkeypatch.setenv("CPLD_PRECISION", "extended")
-    r = eval_m(KummerParams(1.0, 2.0), 1.0)
-    assert r.value == pytest.approx(math.e - 1.0, rel=1e-14)
-    a, b, z = EXTREME_CASES[0]
-    repaired = eval_m(KummerParams(a, b), z)
-    assert repaired.value == pytest.approx(m_ref(a, b, z), rel=5e-13)
-
-
-def test_precision_mode_invalid(monkeypatch):
-    monkeypatch.setenv("CPLD_PRECISION", "quad")
-    with pytest.raises(ValueError):
-        eval_m(KummerParams(1.0, 2.0), 1.0)
+@pytest.mark.parametrize("a", [1e18, 1e22, 1.7e28, 1e40])
+def test_repair_keeps_its_digits_at_huge_a(a):
+    # mu_D1 of a ball of radius X has a = lambda/2 ~ j^2 / (2 X^2): at
+    # X = 1e-14 the repair meets a ~ 1e28, where a 17-digit a + k loses k.
+    # M(a, b, z) tends to a multiple of J_{b-1}(2 sqrt(-a z)), so z at
+    # -j_{b-1,1}^2 / (4 a) puts M at its zero, where the series cancels
+    for b in (1.0, 1.5, 2.5):
+        z = -float(mpmath.besseljzero(b - 1.0, 1)) ** 2 / (4.0 * a)
+        r = eval_m(KummerParams(a, b), z)
+        assert r.cancellation_flag, (a, b)
+        ref = m_ref(a, b, z, dps=100)
+        assert r.value == pytest.approx(ref, rel=1e-14), (a, b)
 
 
 def test_nonconvergent_beyond_term_cap():
