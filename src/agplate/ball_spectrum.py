@@ -83,7 +83,7 @@ import mpmath
 import numpy as np
 
 from .errors import NonConvergent, NoRootFound, check_degree, check_dimension
-from .kummer import KummerParams, eval_m
+from .kummer import KummerParams, eval_m, eval_m_many
 # not called here, but perfbench/tracer.py requires this binding
 from .kummer import eval_m_dz  # noqa: F401
 
@@ -344,14 +344,25 @@ def _bracketed_root(
 
     The caller certifies that [lo, hi] holds at most the root it wants, so a
     sign change there is that root.  Without one, NoRootFound names the
-    problem (where) and the bracket.
+    problem (where) and the bracket.  A bracket end that overflows a double
+    (the floors of a radius below about 1e-154) raises ValueError, and a
+    series that fails to converge raises NonConvergent; both name where.
     """
-    f_lo, f_hi = f(lo), f(hi)
-    if not ((f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo)):
-        raise NoRootFound(
-            f"{where}: no sign change on the certified bracket [{lo!r}, {hi!r}]"
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(
+            f"{where}: radius too small for double precision; the certified "
+            f"bracket [{lo!r}, {hi!r}] overflows"
         )
-    return brentq(f, lo, hi, ROOT_XTOL, BRENT_RTOL_MIN, fa=f_lo, fb=f_hi)
+    try:
+        f_lo, f_hi = f(lo), f(hi)
+        if not ((f_lo < 0.0 < f_hi) or (f_hi < 0.0 < f_lo)):
+            raise NoRootFound(
+                f"{where}: no sign change on the certified bracket "
+                f"[{lo!r}, {hi!r}]"
+            )
+        return brentq(f, lo, hi, ROOT_XTOL, BRENT_RTOL_MIN, fa=f_lo, fb=f_hi)
+    except NonConvergent as exc:
+        raise NonConvergent(f"{where}: {exc}") from exc
 
 
 def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:
@@ -409,18 +420,23 @@ def eigenvalue_curve(
 def eigenfunction_profile(
     mode: SpectralMode, n: int, R: float, samples: int = 512
 ) -> RadialProfile:
-    """Sample the clamped eigenfunction y = r^l (M_+ + G_R M_-) on [0, R]."""
+    """Sample the clamped eigenfunction y = r^l (M_+ + G_R M_-) on [0, R].
+
+    Both factors come from one eval_m_many table each; an entry it leaves
+    not ok is evaluated by eval_m.
+    """
     check_dimension(n)
     if samples < 2:
         raise ValueError("need at least two samples")
     b = 0.5 * n + mode.l
-    plus = KummerParams(0.5 * (mode.l + mode.lam), b)
-    minus = KummerParams(0.5 * (mode.l - mode.lam), b)
     radii = np.linspace(0.0, R, samples)
-    values = np.empty_like(radii)
-    for i, ri in enumerate(radii):
-        z = -0.5 * ri * ri
-        values[i] = ri**mode.l * (
-            eval_m(plus, z).value + mode.G_R * eval_m(minus, z).value
-        )
+    z = -0.5 * radii * radii
+    factors = []
+    for a in (0.5 * (mode.l + mode.lam), 0.5 * (mode.l - mode.lam)):
+        p = KummerParams(a, b)
+        many = eval_m_many(p, z)
+        for i in np.flatnonzero(~many.ok):
+            many.value[i] = eval_m(p, float(z[i])).value
+        factors.append(many.value)
+    values = radii**mode.l * (factors[0] + mode.G_R * factors[1])
     return RadialProfile(radii=radii, values=values)

@@ -57,10 +57,36 @@ min(mu_D1(A), mu_D2(B)) >= min(floor_1(A), floor_2(B)).  When lambda_end
 lies below that bound, (0, lambda_end] holds at most lambda_1(A, B);
 F(lambda_end) > 0 leaves an even number of roots there, hence none, and
 mu(A, B) > lambda_end^2, which is at least the lower endpoint's mu.
-split_minimum (what c_constant uses) therefore spends one F evaluation on
-each interior sample that passes, and solves only the samples that fail.
-The certificate does not rely on the endpoint roots being right: a
-certified sample lies above whatever the endpoints returned.
+split_minimum (what c_constant uses) therefore needs only the sign of F
+at lambda_end on each interior sample that passes the floor test, and
+solves only the samples that fail.  The certificate does not rely on the
+endpoint roots being right: a certified sample lies above whatever the
+endpoints returned.
+
+Those signs come from one batched F per row: jab_condition over arrays A
+and B evaluates M_+ and M_- at every radius with one kummer.eval_m_many
+table each.  Its values differ from the scalar F in the last bits, so a
+sign is taken from the table only where it is certain to be the scalar's.
+For an ok entry, each of the eight series values x (M_+, M_-, M_+', M_-'
+at A and at B) lies within eta S_x of the true value on both routes, where
+S_x is its sum of term magnitudes and eta = kummer.MANY_REL_ERROR.  To
+first order in eta and u = 2^-53, and with P_X = X^n e^(X^2/2) within 6u
+on either route (pow and exp each within an ulp, and one product):
+
+    h_X = M_+' M_- - M_-' M_+    is within (2 eta + 3u) H_X,
+                                 H_X = S_(M_+') S_(M_-) + S_(M_-') S_(M_+),
+    q_X = M_+ M_-                is within (2 eta + 2u) Q_X,
+                                 Q_X = S_(M_+) S_(M_-),
+    P_A h_A q_B + P_B h_B q_A    is within (4 eta + 14u) Phi,
+                                 Phi = P_A H_A Q_B + P_B H_B Q_A,
+
+of the exact F on each route, so the two routes differ by at most
+(8 eta + 28u) Phi.  An entry keeps its batched value when both radii are
+ok and |F| exceeds twice that (F_TOL * Phi, which also covers the
+second-order terms and the rounding of Phi); every other entry is
+evaluated by the scalar route.  The signs, and so the certified samples,
+are exactly the scalar F's.  The batched values are odd in lambda and
+symmetric under swapping A and B bit for bit, like the scalar ones.
 
 minimize_jab keeps the whole profile: A runs over a uniform grid from 0 to
 the half-mass radius A*(R) and B is the complement radius, so the pair
@@ -91,12 +117,15 @@ from .ball_spectrum import (
 # not called here, but perfbench/tracer.py requires this binding
 from .ball_spectrum import scan_lowest_root  # noqa: F401
 from .errors import check_dimension
+from .kummer import MANY_REL_ERROR, UNIT_ROUNDOFF, KummerParams, eval_m_many
 from .measure import phi_inverse, phi_volume
 # not called here, but perfbench/tracer.py requires these bindings
 from .measure import complement_radius, half_mass_radius  # noqa: F401
 
 GRID_POINTS = 16
 ENDPOINT_TIE_REL = 1e-9
+# a batched |F| above F_TOL * Phi has the scalar F's sign (module docstring)
+F_TOL = 2.0 * (8.0 * MANY_REL_ERROR + 28.0 * UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True)
@@ -164,15 +193,28 @@ def _check_pair(n: int, A: float, B: float) -> None:
         raise ValueError("at least one radius must be positive")
 
 
-def jab_condition(n: int, A: float, B: float, lam: float) -> float:
+def jab_condition(n: int, A, B, lam: float):
     """Characteristic function F(lambda) for the radii pair (A, B).
 
     Swapping A and B returns the identical value; F is odd in lambda.  A
     zero radius costs no series (its factors are exactly 1) and the equal
     split A == B costs one secular pass, not two; both give the same bits
     as evaluating each radius's secular_parts.
+
+    Given equal-length 1-D arrays A and B, returns the ndarray of F at each
+    pair, from one eval_m_many table per branch.  Each entry has the scalar
+    F's sign, and its value is the scalar F's to within F_TOL times its
+    magnitude bound; entries the table cannot decide are the scalar F
+    (module docstring).
     """
+    if np.ndim(A) or np.ndim(B):
+        return _condition_many(n, A, B, lam)
     _check_pair(n, A, B)
+    return _condition(n, A, B, lam)
+
+
+def _condition(n: int, A: float, B: float, lam: float) -> float:
+    """The scalar F for a checked pair."""
     # M(a, b, 0) = 1 exactly and _half_term reads no derivative of a zero
     # radius, so that radius needs no series; the equal split needs one pass
     unit = (1.0, 1.0, 0.0, 0.0)
@@ -184,6 +226,38 @@ def jab_condition(n: int, A: float, B: float, lam: float) -> float:
     return _half_term(n, A, parts_a, parts_b) + _half_term(
         n, B, parts_b, parts_a
     )
+
+
+def _condition_many(n: int, A, B, lam: float) -> np.ndarray:
+    """F at the pairs (A[i], B[i]), batched where its sign is certain."""
+    check_dimension(n)
+    radii = np.array((A, B), dtype=float)
+    if radii.ndim != 2:
+        raise ValueError("A and B must be 1-D arrays of equal length")
+    if not (np.isfinite(radii).all() and (radii >= 0.0).all()):
+        raise ValueError("radii must be finite and nonnegative")
+    if (radii == 0.0).all(axis=0).any():
+        raise ValueError("at least one radius must be positive")
+    # row 0 holds the A radii and row 1 the B radii; each radius's term
+    # takes the other row's pair product, so pair[::-1] lines them up
+    z = (-0.5 * radii * radii).ravel()
+    plus = eval_m_many(KummerParams(0.5 * lam, 0.5 * n), z)
+    minus = eval_m_many(KummerParams(-0.5 * lam, 0.5 * n), z)
+    m_p, d_p, s_p, sd_p, m_m, d_m, s_m, sd_m = (
+        x.reshape(radii.shape) for x in (*plus[:4], *minus[:4])
+    )
+    with np.errstate(all="ignore"):
+        weight = radii**n * np.exp(0.5 * radii * radii)
+        pair = m_p * m_m
+        term = weight * (d_p * m_m - d_m * m_p) * pair[::-1]
+        pair_bound = s_p * s_m
+        term_bound = weight * (sd_p * s_m + sd_m * s_p) * pair_bound[::-1]
+        F = term[0] + term[1]
+        ok = (plus.ok & minus.ok).reshape(radii.shape).all(axis=0)
+        sure = ok & (np.abs(F) > F_TOL * (term_bound[0] + term_bound[1]))
+    for i in np.flatnonzero(~sure).tolist():
+        F[i] = _condition(n, float(radii[0, i]), float(radii[1, i]), lam)
+    return F
 
 
 def solve_jab(n: int, A: float, B: float) -> JabSolution:
@@ -297,8 +371,10 @@ def split_minimum(
     smaller of the two.  Every interior sample of minimize_jab's grid is
     first tried against the certificate of the module docstring:
     lambda_end < min(floor_1(A), floor_2(B)) and F(lambda_end) > 0 put its
-    root above lambda_end, so it cannot be the minimum.  A sample that fails
-    is solved on its bracket and joins the candidates.  The minimum among
+    root above lambda_end, so it cannot be the minimum.  The signs of F at
+    the samples that pass the floor test come from one batched
+    jab_condition call.  A sample that fails is solved on its bracket and
+    joins the candidates, in grid order.  The minimum among
     the endpoints and the solved samples is picked by minimize_jab's rule,
     so the two agree on the minimizer.
     """
@@ -307,11 +383,19 @@ def split_minimum(
     a_star = grid[-1][0]
     end = solve_jab(n, a_star, a_star)
     lam_end = min(lambda_1, end.lam)
+    inner = grid[1:-1]
+    tried = [
+        i for i, (a, b) in enumerate(inner)
+        if lam_end < min(_floors(n, 0, a)[0], _floors(n, 0, b)[1])
+    ]
+    certified = set()
+    if tried:
+        A, B = np.array([inner[i] for i in tried]).T
+        F = jab_condition(n, A, B, lam_end)
+        certified = {i for i, value in zip(tried, F.tolist()) if value > 0.0}
     samples = [(0.0, R, lambda_1 * lambda_1)]
-    for a, b in grid[1:-1]:
-        bound = min(_floors(n, 0, a)[0], _floors(n, 0, b)[1])
-        if lam_end < bound and jab_condition(n, a, b, lam_end) > 0.0:
-            continue
-        samples.append((a, b, solve_jab(n, a, b).mu))
+    for i, (a, b) in enumerate(inner):
+        if i not in certified:
+            samples.append((a, b, solve_jab(n, a, b).mu))
     samples.append((a_star, a_star, end.mu))
     return _lowest_sample(samples)

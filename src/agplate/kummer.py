@@ -28,6 +28,31 @@ relative accuracy, so an unflagged value (ratio at most 1e8) is accurate to
 about 1e-8 relative, and to 13+ digits below a ratio of ~1e3. A flagged
 value is within about an ulp of M (or M'), whatever the ratio.
 
+``eval_m_many`` evaluates one (a, b) at an array of z in one numpy pass.
+It fills a table of MANY_TERMS columns with the step factors
+t_k / t_(k-1) = (a + k - 1) z / ((b + k - 1) k), takes np.cumprod along k
+for t_k and scales each column by (a + k) / (b + k) for u_k, then sums the
+rows.  An entry is ok when its sums are finite, the last CONSECUTIVE_SMALL
+terms of each series add up to at most SERIES_TOL times its value, the sum
+of its term magnitudes is at most CANCELLATION_RATIO times that value, and
+0 < |a| < TINY does not hold; an entry that is not ok is left to
+``eval_m``, which repairs it.  Against the sums of term magnitudes
+S = sum_k |t_k| and S' = sum_k |u_k|, and to first order in u = 2^-53:
+
+- a table term is k step factors of five roundings each, multiplied
+  together, so it is within 6 k u of t_k, and u_k within (6 k + 4) u;
+- summing K terms in any order adds at most (K - 1) u S;
+- ``eval_m``'s recurrence rounds each step six times and its compensated
+  sum adds 2 u |M|; a repaired value is within an ulp of M;
+- as ``eval_m``'s stop rule assumes, the terms past either sum's last one
+  add less than 4 SERIES_TOL |M|.
+
+So for an ok entry both the table's M and ``eval_m``'s M lie within
+MANY_REL_ERROR * S of the true M, with MANY_REL_ERROR =
+8 (MANY_TERMS + 1) u + 4 SERIES_TOL, and both M' within
+MANY_REL_ERROR * S' of the true M'.  The two are not the same bits: the
+table multiplies and sums in another order.
+
 The second, singular solution of Kummer's equation never enters any formula
 in this package; regularity at the origin is built into the ansatz rather
 than checked numerically.
@@ -40,6 +65,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
+import numpy as np
 
 from .errors import NonConvergent
 
@@ -51,6 +77,12 @@ CONSECUTIVE_SMALL = 3
 MAX_TERMS = 2000
 CANCELLATION_RATIO = 1e8
 TINY = 1e-300
+# eval_m_many's table width, past the 41 terms the sweep's certificates need
+MANY_TERMS = 48
+UNIT_ROUNDOFF = 2.0**-53
+# eval_m_many's error bound relative to the term magnitudes (module docstring)
+MANY_REL_ERROR = 8.0 * (MANY_TERMS + 1) * UNIT_ROUNDOFF + 4.0 * SERIES_TOL
+_COLUMNS = np.arange(float(MANY_TERMS))
 
 
 @dataclass(frozen=True)
@@ -90,36 +122,6 @@ class EvalResult(NamedTuple):
     derivative: float | None = None
     derivative_max_term: float | None = None
     derivative_flag: bool | None = None
-
-
-def _sum_double(a: float, b: float, z: float) -> tuple[float, int, float]:
-    """Forward recurrence in doubles. Returns (sum, terms_used, max_term)."""
-    t = 1.0
-    s = 1.0
-    comp = 0.0
-    max_t = 1.0
-    small = 0
-    k = 0
-    while k < MAX_TERMS:
-        t *= (a + k) * z / ((b + k) * (k + 1.0))
-        k += 1
-        y = t - comp
-        tt = s + y
-        comp = (tt - s) - y
-        s = tt
-        at = abs(t)
-        if at > max_t:
-            max_t = at
-        if at <= SERIES_TOL * abs(s):
-            small += 1
-            if small >= CONSECUTIVE_SMALL:
-                return s, k, max_t
-        else:
-            small = 0
-    raise NonConvergent(
-        f"Kummer series did not converge in {MAX_TERMS} terms "
-        f"(a={a}, b={b}, z={z})"
-    )
 
 
 def _sum_pair(
@@ -224,6 +226,61 @@ def eval_m(p: KummerParams, z: float) -> EvalResult:
         deriv = a / b * _sum_extended(a + 1.0, b + 1.0, z)
         dflag = _flagged(max_d, deriv)
     return EvalResult(value, terms, max_t, flag, deriv, max_d, dflag)
+
+
+class ManyResult(NamedTuple):
+    """Outcome of ``eval_m_many``: arrays with one entry per z.
+
+    value is M and derivative is M'; abs_sum and derivative_abs_sum are
+    sum_k |t_k| and sum_k |u_k|, against which MANY_REL_ERROR bounds the
+    error of an ok entry, and ok marks the entries that bound covers.
+    """
+
+    value: np.ndarray
+    derivative: np.ndarray
+    abs_sum: np.ndarray
+    derivative_abs_sum: np.ndarray
+    ok: np.ndarray
+
+
+def eval_m_many(p: KummerParams, z) -> ManyResult:
+    """Evaluate M(p.a, p.b, z) and dM/dz at each z of a 1-D array at once.
+
+    One term table of MANY_TERMS columns, no repairs and no exceptions from
+    the series: an entry that overflows, cancels past CANCELLATION_RATIO or
+    has not converged is marked not ok, and its values are not to be used
+    (module docstring).
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValueError("z must be a one-dimensional array")
+    if not np.isfinite(z).all():
+        raise ValueError("z must be finite")
+    a, b = p.a, p.b
+    k = _COLUMNS
+    with np.errstate(all="ignore"):
+        # table[0] holds t_k and table[1] u_k, one row per z
+        table = np.empty((2, z.size, MANY_TERMS))
+        terms = table[0]
+        terms[:, 0] = 1.0
+        np.multiply.outer(z, (a + k[:-1]) / ((b + k[:-1]) * k[1:]),
+                          out=terms[:, 1:])
+        np.cumprod(terms, axis=1, out=terms)
+        np.multiply(terms, (a + k) / (b + k), out=table[1])
+        sums = table.sum(axis=2)
+        mag = np.abs(table)
+        abs_sums = mag.sum(axis=2)
+        size = np.abs(sums)
+        # sums of magnitudes, not largest terms: numpy reduces them faster,
+        # and each bounds the test it stands for from above
+        ok = (
+            np.isfinite(abs_sums)
+            & (abs_sums <= CANCELLATION_RATIO * np.maximum(size, TINY))
+            & (mag[:, :, -CONSECUTIVE_SMALL:].sum(axis=2) <= SERIES_TOL * size)
+        ).all(axis=0)
+    if 0.0 < abs(a) < TINY:
+        ok[:] = False
+    return ManyResult(sums[0], sums[1], abs_sums[0], abs_sums[1], ok)
 
 
 def eval_m_dz(p: KummerParams, z: float) -> EvalResult:

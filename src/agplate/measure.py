@@ -9,8 +9,10 @@ The weighted volume of the ball of radius R in dimension n is
 where M is Kummer's confluent hypergeometric function: expanding exp(r^2/2)
 and integrating termwise gives sum_k (R^2/2)^k / k! * n / (n + 2k), and
 n / (n + 2k) = (n/2)_k / (n/2 + 1)_k.  At positive argument every term of
-that series is positive, so the double-precision recurrence of the kummer
-module sums it without cancellation.
+that series is positive, so a double-precision recurrence sums it without
+cancellation: phi_volume runs the kummer module's compensated loop and stop
+rule with no magnitude tracking, since no term needs abs() and no sum can
+cancel.
 
 Phi is strictly increasing in R, so it has a well-defined inverse, which is
 what the half-mass and complement constructions below are built on.
@@ -18,10 +20,11 @@ what the half-mass and complement constructions below are built on.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .errors import check_dimension
-from .kummer import _sum_double
+from .errors import NonConvergent, check_dimension
+from .kummer import CONSECUTIVE_SMALL, MAX_TERMS, SERIES_TOL
 
 INVERT_TOL = 1e-12
 CLAMP_TOL = 1e-12
@@ -30,7 +33,46 @@ CLAMP_TOL = 1e-12
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
     check_dimension(n)
+    return _beta(n)
+
+
+@functools.cache
+def _beta(n: int) -> float:
+    # beta_n for a checked n, computed once per dimension
     return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n)
+
+
+def _positive_series(a: float, b: float, x: float) -> float:
+    """M(a, b, x) for a, b, x > 0, where every term is positive.
+
+    The recurrence, compensated sum and stop rule of the kummer module's
+    series, without abs() or a largest-term record, which positive terms
+    do not need; the loop therefore returns the same bits.  k counts in
+    floats, which hold every count up to MAX_TERMS exactly.
+    """
+    tol = SERIES_TOL
+    t = 1.0
+    s = 1.0
+    comp = 0.0
+    small = 0
+    k = 0.0
+    while k < MAX_TERMS:
+        t *= (a + k) * x / ((b + k) * (k + 1.0))
+        k += 1.0
+        y = t - comp
+        tt = s + y
+        comp = (tt - s) - y
+        s = tt
+        if t <= tol * s:
+            small += 1
+            if small >= CONSECUTIVE_SMALL:
+                return s
+        else:
+            small = 0
+    raise NonConvergent(
+        f"Kummer series did not converge in {MAX_TERMS} terms "
+        f"(a={a}, b={b}, z={x})"
+    )
 
 
 def phi_volume(n: int, R: float) -> float:
@@ -47,13 +89,13 @@ def phi_volume(n: int, R: float) -> float:
     if R == 0.0:
         return 0.0
     half = 0.5 * n
-    series, _, _ = _sum_double(half, half + 1.0, 0.5 * R * R)
-    return unit_sphere_area(n) * R**n / n * series
+    series = _positive_series(half, half + 1.0, 0.5 * R * R)
+    return _beta(n) * R**n / n * series
 
 
 def _phi_derivative(n: int, r: float) -> float:
     # d Phi / d R = beta_n exp(R^2/2) R^(n-1); positive for R > 0
-    return unit_sphere_area(n) * math.exp(0.5 * r * r) * r ** (n - 1)
+    return _beta(n) * math.exp(0.5 * r * r) * r ** (n - 1)
 
 
 def _volume_start(n: int, v: float) -> float:
@@ -71,7 +113,7 @@ def _volume_start(n: int, v: float) -> float:
     r^2 = 2 L + 2 log(1 + n / (2 L)).  Newton from the smaller of the two
     descends to the root without overshooting it.
     """
-    L = math.log(v) - math.log(unit_sphere_area(n))
+    L = math.log(v) - math.log(_beta(n))
     u = (math.log(n) + L) / n
     if L >= 0.5:
         u = min(u, 0.5 * math.log(2.0 * L + 2.0 * math.log1p(0.5 * n / L)))

@@ -26,6 +26,7 @@ from agplate.ball_spectrum import (
 from agplate.errors import NoRootFound
 from agplate.fd_oracle import FdProblem, fd_lowest_eigenvalue
 from agplate.jab_solver import _half_term, jab_condition
+from agplate.kummer import KummerParams, eval_m
 from closedform import bessel_zero, dirichlet_reference, plate_zero
 from refvalues import FROZEN_DISK_EIGENVALUE, FROZEN_LAMBDA1
 
@@ -207,6 +208,24 @@ def test_profile_satisfies_clamped_boundary():
     # radial symmetry: flat at the origin for l = 0
     slope0 = (y[1] - y[0]) / (r[1] - r[0])
     assert abs(slope0) <= 5e-2 * scale / R
+
+
+@pytest.mark.parametrize("n,l,R", [(2, 0, 1.0), (3, 1, 0.8), (5, 2, 3.0), (2, 0, 7.0)])
+def test_profile_matches_the_pointwise_series(n, l, R):
+    # the batched factors against eval_m at each sample: they differ by up
+    # to 2e-13 of the largest value here, inside the tables' error bound
+    mode = lowest_eigenvalue(n, l, R)
+    profile = eigenfunction_profile(mode, n, R, samples=64)
+    b = 0.5 * n + l
+    plus = KummerParams(0.5 * (l + mode.lam), b)
+    minus = KummerParams(0.5 * (l - mode.lam), b)
+    expected = [
+        r**l * (eval_m(plus, -0.5 * r * r).value
+                + mode.G_R * eval_m(minus, -0.5 * r * r).value)
+        for r in profile.radii
+    ]
+    scale = max(abs(v) for v in expected)
+    assert np.allclose(profile.values, expected, rtol=0.0, atol=1e-11 * scale)
 
 
 def test_profile_vanishes_at_origin_for_positive_degree():

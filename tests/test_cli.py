@@ -105,6 +105,14 @@ def test_jab_reports_the_pair(capsys):
     assert payload["mu"] == payload["lambda"] ** 2
 
 
+@pytest.mark.parametrize("radius", ["1e-160", "1e-300"])
+def test_jab_names_a_radius_too_small_for_doubles(capsys, radius):
+    rc = main(["jab", "--n", "2", "--A", radius, "--B", radius])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"agplate: n=2, l=0, R={radius}: radius too small")
+
+
 def test_minjab_prints_profile(capsys):
     rc = main(["minjab", "--n", "2", "--R", "0.7", "--grid-points", "20"])
     out = capsys.readouterr().out

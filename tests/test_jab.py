@@ -1,6 +1,7 @@
 """Tests for the coupled pair condition and its constrained minimum."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,8 @@ from agplate.ball_spectrum import (
     lowest_eigenvalue,
     secular_h,
 )
-from agplate.constants import sweep_radii
+from agplate.constants import c_constant, sweep_radii
+from agplate.errors import NonConvergent
 from agplate.jab_solver import (
     JabSolution,
     jab_condition,
@@ -193,6 +195,143 @@ def test_condition_validation():
         jab_condition(2, -0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         jab_condition(1, 0.5, 0.5, 1.0)
+
+
+def test_batched_condition_validation():
+    with pytest.raises(ValueError):
+        jab_condition(2, np.array([0.5, 0.0]), np.array([1.0, 0.0]), 1.0)
+    with pytest.raises(ValueError):
+        jab_condition(2, np.array([0.5, -0.1]), np.array([1.0, 1.0]), 1.0)
+    with pytest.raises(ValueError):
+        jab_condition(2, np.array([0.5, math.inf]), np.array([1.0, 1.0]), 1.0)
+    with pytest.raises(ValueError):
+        jab_condition(2, np.array([0.5, 0.6]), np.array([1.0]), 1.0)
+    with pytest.raises(ValueError):
+        jab_condition(1, np.array([0.5]), np.array([1.0]), 1.0)
+
+
+def _batch(rng, count):
+    """Radii arrays with zero radii and equal splits among random pairs."""
+    A = rng.uniform(0.1, 1.5, count)
+    B = rng.uniform(0.1, 1.5, count)
+    A[0], B[1], B[2] = 0.0, 0.0, A[2]
+    return A, B
+
+
+def test_batched_condition_is_swap_symmetric_and_odd_bitwise():
+    rng = np.random.default_rng(RNG_SEED + 2)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        A, B = _batch(rng, 9)
+        lam = float(rng.uniform(0.1, 30.0))
+        F = jab_condition(n, A, B, lam)
+        assert isinstance(F, np.ndarray) and F.shape == A.shape
+        assert F.tobytes() == jab_condition(n, B, A, lam).tobytes()
+        assert (-F).tobytes() == jab_condition(n, A, B, -lam).tobytes()
+
+
+def test_batched_condition_keeps_the_scalar_bits_it_falls_back_to():
+    # at the pair's root |F| is inside the bound, so that entry is the
+    # scalar F bit for bit; the others, zero radius and equal split among
+    # them, agree with it to rounding
+    n = 3
+    A, B = _batch(np.random.default_rng(RNG_SEED + 3), 6)
+    lam = solve_jab(n, A[3], B[3]).lam
+    F = jab_condition(n, A, B, lam)
+    assert F[3] == jab_condition(n, float(A[3]), float(B[3]), lam)
+    for i in range(6):
+        scalar = jab_condition(n, float(A[i]), float(B[i]), lam)
+        assert F[i] == pytest.approx(scalar, rel=1e-9, abs=1e-12 * abs(F).max())
+
+
+@st.composite
+def _batched_cases(draw):
+    # radii from 0.05 R to R, as on minimize_jab's grids, and zero radii
+    n = draw(st.integers(2, 40))
+    R = math.exp(draw(st.floats(math.log(1e-3), math.log(7.0))))
+    share = st.floats(0.05, 1.0)
+    A = np.array([draw(st.just(0.0) | share) for _ in range(6)]) * R
+    B = np.array([draw(share) for _ in range(6)]) * R
+    if draw(st.booleans()):
+        # at the root of a pair with the whole ball, where F is smallest
+        B[0] = R
+        lam = solve_jab(n, float(A[0]), R).lam
+    else:
+        lam = draw(st.floats(0.3, 3.0)) * _floors(n, 0, R)[0]
+    return n, A, B, lam
+
+
+@settings(deadline=None, max_examples=40)
+@given(_batched_cases())
+def test_batched_condition_signs_are_the_scalar_signs(case):
+    # split_minimum certifies on these signs, so each must be the scalar F's
+    n, A, B, lam = case
+    F = jab_condition(n, A, B, lam)
+    for i, value in enumerate(F.tolist()):
+        scalar = jab_condition(n, float(A[i]), float(B[i]), lam)
+        assert np.sign(value) == np.sign(scalar), (i, value, scalar)
+
+
+def test_c_constant_certifies_with_one_batched_condition(monkeypatch):
+    # c_constant(2, 1.0) solves only the equal split, and all 14 interior
+    # samples pass on the signs of a single jab_condition call
+    conditions, solves = [], []
+    condition, solve = jab_solver.jab_condition, jab_solver.solve_jab
+
+    def counted_condition(n, A, B, lam):
+        conditions.append((A, B))
+        return condition(n, A, B, lam)
+
+    def counted_solve(n, A, B):
+        solves.append((A, B))
+        return solve(n, A, B)
+
+    monkeypatch.setattr(jab_solver, "jab_condition", counted_condition)
+    monkeypatch.setattr(jab_solver, "solve_jab", counted_solve)
+    rec = c_constant(2, 1.0)
+    assert len(conditions) == 1
+    assert len(conditions[0][0]) == jab_solver.GRID_POINTS - 2
+    assert len(solves) == 1 and solves[0][0] == solves[0][1]
+    assert rec.A_min == 0.0 and rec.B_min == 1.0
+
+
+@pytest.mark.parametrize("R", [7.0, 30.0])
+def test_batched_condition_lets_no_warning_escape(R):
+    # the tables overflow and cancel far from the origin; numpy must stay
+    # quiet and the scalar route take those entries
+    A = np.array([0.0, 0.1, 0.5, 0.9, 1.0]) * R
+    B = np.array([1.0, 0.9, 0.5, 0.1, 1.0]) * R
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F = jab_condition(2, A, B, 2.5)
+        if R == 7.0:
+            c_constant(2, R)
+    for i in range(len(A)):
+        assert np.sign(F[i]) == np.sign(
+            jab_condition(2, float(A[i]), float(B[i]), 2.5)
+        )
+
+
+@pytest.mark.parametrize("n", [2, 5, 40])
+@pytest.mark.parametrize("X", [1e-160, 1e-300])
+def test_a_radius_too_small_for_doubles_is_named(n, X):
+    # the floors j^2 / X^2 overflow below X ~ 1e-154; the error names the
+    # radius instead of the series parameters the overflow produced
+    with pytest.raises(ValueError, match=rf"R={X!r}: radius too small"):
+        lowest_dirichlet_root(n, X)
+    with pytest.raises(ValueError, match=rf"R={X!r}: radius too small"):
+        solve_jab(n, X, X)
+    with pytest.raises(ValueError, match=rf"B={2 * X!r}: radius too small"):
+        solve_jab(n, X, 2 * X)
+    # a tiny ball beside a normal one adds nothing and keeps its root
+    assert solve_jab(n, X, 1.0).lam == solve_jab(n, 0.0, 1.0).lam
+
+
+def test_a_series_failure_names_the_radius():
+    # between the overflow and X ~ 1e-152 the terms overflow inside the
+    # series instead; the NonConvergent it raises says where
+    with pytest.raises(NonConvergent, match=r"n=2, l=0, R=1e-153: Kummer"):
+        lowest_dirichlet_root(2, 1e-153)
 
 
 def test_solution_invariants():

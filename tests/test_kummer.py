@@ -1,6 +1,7 @@
 """Series evaluator tests: closed forms, identities, root counts, precision."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,7 +17,12 @@ from agplate import (
     eval_m,
     eval_m_dz,
 )
-from agplate.kummer import CANCELLATION_RATIO
+from agplate.kummer import (
+    CANCELLATION_RATIO,
+    MANY_REL_ERROR,
+    MANY_TERMS,
+    eval_m_many,
+)
 
 RNG_SEED = 20260816
 
@@ -336,3 +342,70 @@ def test_determinism():
     assert first.value == second.value
     assert first.terms_used == second.terms_used
     assert first.max_term_magnitude == second.max_term_magnitude
+
+
+def mp_pair(a, b, z, dps=40):
+    """M and M' from mpmath, the oracle for the batched table."""
+    with mpmath.workdps(dps):
+        return (
+            mpmath.hyp1f1(a, b, z),
+            mpmath.mpf(a) / b * mpmath.hyp1f1(a + 1, b + 1, z),
+        )
+
+
+@pytest.mark.parametrize("a,b", [(3.7, 1.0), (-3.7, 1.0), (0.8, 2.5),
+                                 (-11.2, 1.5), (25.0, 20.0), (-25.0, 20.0)])
+def test_many_is_within_its_bound_of_the_true_series(a, b):
+    # the docstring's bound: an ok entry's M (and eval_m's) lies within
+    # MANY_REL_ERROR * sum |t_k| of M, and M' within the same of sum |u_k|
+    z = -0.5 * np.linspace(0.0, 3.0, 25) ** 2
+    many = eval_m_many(KummerParams(a, b), z)
+    assert many.ok.any()
+    for i in np.flatnonzero(many.ok):
+        m_true, d_true = mp_pair(a, b, z[i])
+        single = eval_m(KummerParams(a, b), float(z[i]))
+        for value, scalar, true, mass in (
+            (many.value[i], single.value, m_true, many.abs_sum[i]),
+            (many.derivative[i], single.derivative, d_true,
+             many.derivative_abs_sum[i]),
+        ):
+            assert abs(value - true) <= MANY_REL_ERROR * mass, (a, b, z[i])
+            assert abs(scalar - true) <= MANY_REL_ERROR * mass, (a, b, z[i])
+
+
+def test_many_matches_eval_m_where_ok():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    for a, b, _ in sample_params(12, rng):
+        z = rng.uniform(-4.5, 4.5, 9)
+        many = eval_m_many(KummerParams(a, b), z)
+        for i, zi in enumerate(z):
+            single = eval_m(KummerParams(a, b), float(zi))
+            if many.ok[i]:
+                assert many.value[i] == pytest.approx(single.value, rel=1e-10)
+                assert many.derivative[i] == pytest.approx(
+                    single.derivative, rel=1e-10, abs=1e-12
+                )
+
+
+def test_many_leaves_what_it_cannot_bound_to_eval_m():
+    # a long series past the table, a cancelled one, an overflowing one and
+    # a tiny a are not ok; the origin is exactly M = 1, M' = a / b
+    p = KummerParams(*EXTREME_CASES[0][:2])
+    many = eval_m_many(p, [EXTREME_CASES[0][2], 0.0, 300.0, 1e4])
+    assert many.ok.tolist() == [False, True, False, False]
+    assert many.value[1] == 1.0 and many.derivative[1] == p.a / p.b
+    assert not eval_m_many(KummerParams(1e-310, 1.0), [-0.5]).ok[0]
+    assert not eval_m_many(KummerParams(2.0, 1.0), [-4.0 * MANY_TERMS]).ok[0]
+    # terms past the largest double overflow quietly and are not ok
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, z in ((1e6, -1e3), (-1e6, 1e3), (1e300, -1.0)):
+            assert not eval_m_many(KummerParams(a, 1.0), [z]).ok[0]
+
+
+def test_many_rejects_bad_z():
+    p = KummerParams(1.0, 2.0)
+    with pytest.raises(ValueError):
+        eval_m_many(p, [[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        eval_m_many(p, [0.1, math.nan])

@@ -89,6 +89,27 @@ def test_import_leaves_scipy_integrate_out():
     assert proc.stdout.strip() == "False"
 
 
+# (n, R, Phi(n, R), phi_inverse(n, Phi / 2)) as reprs: the all-positive
+# series and the Newton iterates of the inversion are pinned to the bit
+PINNED_PHI = [
+    (2, 0.001, 3.141593438988087e-06, 0.0007071068253807186),
+    (2, 0.37, 0.4451453400189306, 0.26385814753264003),
+    (3, 1.7, 52.41175684675797, 1.4670251086191584),
+    (5, 3.0, 45439.22774685288, 2.8344466253056058),
+    (12, 0.05, 3.26341355030734e-16, 0.047194175295651605),
+    (40, 2.2, 1807967.8390831852, 2.1660429421729734),
+    (7, 6.5, 510311947176097.75, 6.404568739196567),
+    (2, 30.0, 1.7009702772623893e+196, 29.976886189844336),
+]
+
+
+@pytest.mark.parametrize("n,R,volume,half_radius", PINNED_PHI)
+def test_phi_and_its_inverse_keep_their_bits(n, R, volume, half_radius):
+    assert repr(phi_volume(n, R)) == repr(volume)
+    assert repr(phi_inverse(n, 0.5 * volume)) == repr(half_radius)
+    assert repr(half_mass_radius(n, R)) == repr(half_radius)
+
+
 def test_phi_zero_radius_is_zero():
     for n in (2, 3, 4, 5):
         assert phi_volume(n, 0.0) == 0.0
