@@ -45,7 +45,7 @@ print()
 
 # The radial profile vanishes at the wall together with its slope: that is
 # the clamped condition the secular root enforces.
-profile = eigenfunction_profile(mode, 2, 1.0, samples=9)
+profile = eigenfunction_profile(mode, samples=9)
 print("radial profile (9 samples):")
 for r, y in zip(profile.radii, profile.values):
     print("  y(%.3f) = %+.6f" % (r, y / max(abs(v) for v in profile.values)))

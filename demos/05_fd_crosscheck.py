@@ -9,7 +9,7 @@ routes share no code beyond numpy, so agreement is evidence, not tautology.
 """
 
 from agplate.ball_spectrum import lowest_eigenvalue
-from agplate.fd_oracle import ANTI_GAUSS, UNWEIGHTED, FdProblem, fd_lowest_eigenvalue
+from agplate.fd_oracle import FdProblem, fd_lowest_eigenvalue
 
 # Mesh refinement at n=2, l=0, R=1: the error shrinks by ~4x per doubling,
 # the signature of a second order scheme.
@@ -30,7 +30,7 @@ print()
 
 # The same oracle with the weight switched off solves the classical
 # clamped plate; on the unit disk the constant is 104.3631...
-flat = fd_lowest_eigenvalue(FdProblem(2, 0, 1.0, 2000, density=UNWEIGHTED))
+flat = fd_lowest_eigenvalue(FdProblem(2, 0, 1.0, 2000, weight="none"))
 print("unweighted disk, mesh 2000:", flat)
 print()
 
@@ -39,5 +39,5 @@ print("n  l  series            mesh 2000         relative gap")
 for n in (2, 3, 4, 5):
     for l in (0, 1):
         s = lowest_eigenvalue(n, l, 1.0).Lambda
-        f = fd_lowest_eigenvalue(FdProblem(n, l, 1.0, 2000, density=ANTI_GAUSS))
+        f = fd_lowest_eigenvalue(FdProblem(n, l, 1.0, 2000, weight="antigauss"))
         print("%d  %d  %-17.10f %-17.10f %.2e" % (n, l, s, f, abs(f - s) / s))

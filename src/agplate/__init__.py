@@ -27,13 +27,7 @@ from .constants import (
     write_csv,
 )
 from .errors import NonConvergent, NoRootFound
-from .fd_oracle import (
-    ANTI_GAUSS,
-    UNWEIGHTED,
-    FdProblem,
-    RadialDensity,
-    fd_lowest_eigenvalue,
-)
+from .fd_oracle import FdProblem, fd_lowest_eigenvalue
 from .jab_solver import (
     JabSolution,
     jab_condition,
@@ -58,16 +52,13 @@ from .measure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANTI_GAUSS",
     "ConstantRecord",
     "FdProblem",
     "JabSolution",
     "KummerParams",
     "NoRootFound",
     "NonConvergent",
-    "RadialDensity",
     "SpectralMode",
-    "UNWEIGHTED",
     "c_constant",
     "complement_radius",
     "count_negative_roots",

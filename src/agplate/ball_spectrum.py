@@ -106,24 +106,31 @@ QU_WONG_LOWER = (1.8557, 3.2446)
 
 @dataclass(frozen=True)
 class SpectralMode:
-    """One clamped eigenvalue on the degree-l harmonic sector.
+    """One clamped eigenvalue on the degree-l harmonic sector of the R-ball.
 
-    lam is the positive zero of the boundary determinant, Lambda = lam**2
-    exactly (stored redundantly), and G_R the mixing coefficient of the
-    second confluent factor in the eigenfunction.
+    n and R name the ball, lam is the positive zero of its boundary
+    determinant and G_R the mixing coefficient of the second confluent
+    factor in the eigenfunction.
     """
 
+    n: int
     l: int
+    R: float
     lam: float
-    Lambda: float
     G_R: float
 
     def __post_init__(self) -> None:
+        check_dimension(self.n)
         check_degree(self.l)
+        if not (math.isfinite(self.R) and self.R > 0.0):
+            raise ValueError("radius must be finite and positive")
         if not self.lam > 0.0:
             raise ValueError("frequency must be positive")
-        if self.Lambda != self.lam * self.lam:
-            raise ValueError("Lambda must equal lam squared exactly")
+
+    @property
+    def Lambda(self) -> float:
+        """The eigenvalue, lam**2."""
+        return self.lam * self.lam
 
 
 @dataclass(frozen=True)
@@ -384,7 +391,7 @@ def lowest_eigenvalue(n: int, l: int, R: float) -> SpectralMode:
 
     lam = _bracketed_root(f, *_floors(n, l, R), f"n={n}, l={l}, R={R!r}")
     m_p, m_m, _, _ = secular_parts(n, l, R, lam)
-    return SpectralMode(l=l, lam=lam, Lambda=lam * lam, G_R=-m_p / m_m)
+    return SpectralMode(n=n, l=l, R=R, lam=lam, G_R=-m_p / m_m)
 
 
 def lowest_dirichlet_root(n: int, X: float) -> float:
@@ -417,19 +424,16 @@ def eigenvalue_curve(
     return [(R, lowest_eigenvalue(n, l, R).lam) for R in radii]
 
 
-def eigenfunction_profile(
-    mode: SpectralMode, n: int, R: float, samples: int = 512
-) -> RadialProfile:
+def eigenfunction_profile(mode: SpectralMode, samples: int = 512) -> RadialProfile:
     """Sample the clamped eigenfunction y = r^l (M_+ + G_R M_-) on [0, R].
 
-    Both factors come from one eval_m_many table each; an entry it leaves
-    not ok is evaluated by eval_m.
+    The ball is the mode's own.  Both factors come from one eval_m_many
+    table each; an entry it leaves not ok is evaluated by eval_m.
     """
-    check_dimension(n)
     if samples < 2:
         raise ValueError("need at least two samples")
-    b = 0.5 * n + mode.l
-    radii = np.linspace(0.0, R, samples)
+    b = 0.5 * mode.n + mode.l
+    radii = np.linspace(0.0, mode.R, samples)
     z = -0.5 * radii * radii
     factors = []
     for a in (0.5 * (mode.l + mode.lam), 0.5 * (mode.l - mode.lam)):

@@ -11,9 +11,9 @@ Subcommands
     sweep   constants over a radius grid per dimension (CSV, constants schema)
     oracle  finite-difference eigenvalue cross-check (JSON)
 
-Exit codes: 0 on success, 2 for invalid flags or parameter values,
-3 when a solver fails (a certified root bracket held no sign change, or
-an iteration cap was hit).
+Exit codes: 0 on success, 2 for invalid flags or parameter values or an
+output path that cannot be written, 3 when a solver fails (a certified
+root bracket held no sign change, or an iteration cap was hit).
 
 Every algorithm in the pipeline is deterministic, so there is no seed
 flag; two runs with identical flags produce identical bytes.  Grids for
@@ -45,7 +45,7 @@ from .constants import (
     sweep_radii,
 )
 from .errors import NonConvergent, NoRootFound
-from .fd_oracle import ANTI_GAUSS, UNWEIGHTED, FdProblem, fd_lowest_eigenvalue
+from .fd_oracle import WEIGHTS, FdProblem, fd_lowest_eigenvalue
 from .jab_solver import GRID_POINTS, minimize_jab, solve_jab
 
 
@@ -111,11 +111,8 @@ def _cmd_minjab(args: argparse.Namespace) -> int:
     lines = ["A,B,sqrtJ,status"]
     for a, b, sqrt_j in record.profile:
         lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(sqrt_j)},{STATUS_OK}")
-    csv_text = "\n".join(lines) + "\n"
-    if args.profile is None:
-        sys.stdout.write(csv_text)
-    else:
-        Path(args.profile).write_bytes(csv_text.encode("ascii"))
+    _emit("\n".join(lines) + "\n", args.profile)
+    if args.profile is not None:
         payload = {
             "n": args.n,
             "R": args.R,
@@ -147,9 +144,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    density = ANTI_GAUSS if args.weight == "antigauss" else UNWEIGHTED
     problem = FdProblem(
-        n=args.n, l=args.l, R=args.R, mesh=args.mesh, density=density
+        n=args.n, l=args.l, R=args.R, mesh=args.mesh, weight=args.weight
     )
     Lambda = fd_lowest_eigenvalue(problem)
     payload = {
@@ -228,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--l", type=int, default=0)
     oracle.add_argument("--R", type=float, required=True)
     oracle.add_argument("--mesh", type=int, default=2000)
-    oracle.add_argument(
-        "--weight", choices=("antigauss", "none"), default="antigauss"
-    )
+    oracle.add_argument("--weight", choices=WEIGHTS, default="antigauss")
     oracle.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -241,7 +235,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"agplate: {exc}\n")
         return 2
     except (NoRootFound, NonConvergent) as exc:

@@ -6,11 +6,12 @@ For each dimension n and radius R the constant is the ratio
 
 where Lambda_1 is the fundamental clamped eigenvalue of the R-ball (radial
 sector) and J_min is the minimum of the two-ball coupled eigenvalue over
-all splits of the ball's weighted volume.  Because the split that puts all
-volume on one ball reproduces the single-ball problem, J_min never exceeds
-Lambda_1 beyond round-off, so C lies in (0, 1 + 1e-8].  Reported C is
-clamped to 1 when the raw ratio overshoots by at most 1e-8; the raw ratio
-is always retained alongside.
+all splits of the ball's weighted volume.  The split that puts all volume
+on one ball reproduces the single-ball problem, and its mu is Lambda_1 to
+the bit, so C lies in (0, 1]: a tie with that sample returns J_min =
+Lambda_1 exactly (jab_solver's tie rule), and any other minimum lies
+strictly below Lambda_1, which a correctly rounded division keeps at or
+below 1.  The CSV keeps the columns C and C_raw; both hold the ratio.
 
 sweep() evaluates records over a left-open uniform radius grid
 
@@ -46,7 +47,6 @@ from .jab_solver import GRID_POINTS, split_minimum
 # not called here, but perfbench/tracer.py requires this binding
 from .jab_solver import minimize_jab  # noqa: F401
 
-CLAMP_OVERSHOOT = 1e-8
 STATUS_OK = "ok"
 STATUS_NO_ROOT = "no_root"
 STATUS_NONCONVERGENT = "nonconvergent"
@@ -88,13 +88,11 @@ def c_constant(n: int, R: float, grid_points: int = GRID_POINTS) -> ConstantReco
     of minimize_jab's grid is ruled out by one sign of F where it can be
     (see jab_solver).  Every root comes from one certified bracket, at every
     radius, so a row never falls back to a scan or a warm-started chain.
+    A radius below MIN_RADIUS raises ValueError from lowest_eigenvalue.
     """
-    if not (math.isfinite(R) and R >= MIN_RADIUS):
-        raise ValueError(f"radius must be finite and at least {MIN_RADIUS}")
     mode = lowest_eigenvalue(n, 0, R)
-    A_min, B_min, J_min = split_minimum(n, R, mode.lam, grid_points)
-    c_raw = J_min / mode.Lambda
-    c = 1.0 if 1.0 < c_raw <= 1.0 + CLAMP_OVERSHOOT else c_raw
+    A_min, B_min, J_min = split_minimum(mode, grid_points)
+    c = J_min / mode.Lambda
     return ConstantRecord(
         n=n,
         R=R,
@@ -104,7 +102,7 @@ def c_constant(n: int, R: float, grid_points: int = GRID_POINTS) -> ConstantReco
         B_min=B_min,
         J_min=J_min,
         C=c,
-        C_raw=c_raw,
+        C_raw=c,
         status=STATUS_OK,
     )
 

@@ -9,8 +9,10 @@ delta = R/(m+1), the drifted radial operator
               - l (l + n - 2) / r_j^2 * y_j,
     c_j = (n - 1)/r_j + phi'(r_j),
 
-is assembled as a rectangular matrix L acting on the interior values
-(y_1 .. y_m).  Closures:
+with phi = s r^2/2 for the weight exp(phi): s = 1 for the library's
+anti-Gaussian weight (FdProblem weight "antigauss") and s = 0 for the flat
+plate ("none").  It is assembled as a rectangular matrix L acting on the
+interior values (y_1 .. y_m).  Closures:
 
   * origin: for l = 0 the ghost value y_0 = (4 y_1 - y_2)/3 encodes the
     one-sided second-order condition y'(0) = 0; for l >= 1, y_0 = 0;
@@ -33,8 +35,8 @@ relative change of the Rayleigh quotient drops below the tolerance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,49 +48,27 @@ if TYPE_CHECKING:
 MIN_MESH = 64
 ITERATION_TOL = 1e-10
 MAX_ITERATIONS = 500
-
-
-@dataclass(frozen=True)
-class RadialDensity:
-    """Radial weight exp(phi(r)) given by vectorized phi and its derivative.
-
-    Both callables must accept and return numpy arrays (scalars included).
-    phi' must vanish at the origin; a drift that survives at r = 0 is not
-    radially smooth and breaks the origin closure.
-    """
-
-    phi: Callable[[np.ndarray], np.ndarray]
-    dphi: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self) -> None:
-        if abs(float(self.dphi(np.float64(0.0)))) > 1e-12:
-            raise ValueError("phi'(0) must vanish")
-
-
-ANTI_GAUSS = RadialDensity(
-    phi=lambda r: 0.5 * np.square(r),
-    dphi=lambda r: np.asarray(r, dtype=float),
-)
-
-UNWEIGHTED = RadialDensity(
-    phi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-    dphi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-)
+WEIGHTS = ("antigauss", "none")
 
 
 @dataclass(frozen=True)
 class FdProblem:
-    """A clamped eigenvalue problem instance for the mesh oracle."""
+    """A clamped eigenvalue problem instance for the mesh oracle.
+
+    weight is one of WEIGHTS: "antigauss" for exp(r^2/2), "none" for 1.
+    """
 
     n: int
     l: int
     R: float
     mesh: int
-    density: RadialDensity = field(default=ANTI_GAUSS)
+    weight: str = "antigauss"
 
     def __post_init__(self) -> None:
         check_dimension(self.n)
         check_degree(self.l)
+        if self.weight not in WEIGHTS:
+            raise ValueError(f"weight must be one of {', '.join(WEIGHTS)}")
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise ValueError("radius must be finite and positive")
         if int(self.mesh) != self.mesh or self.mesh < MIN_MESH:
@@ -101,10 +81,10 @@ def _assemble(problem: FdProblem) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray
     import scipy.sparse as sp
 
     n, l, R, m = problem.n, problem.l, problem.R, problem.mesh
-    density = problem.density
+    s = 1.0 if problem.weight == "antigauss" else 0.0
     d = R / (m + 1)
     r = d * np.arange(1, m + 1, dtype=float)
-    c = (n - 1) / r + density.dphi(r)
+    c = (n - 1) / r + s * r
     alpha = 1.0 / d**2 - c / (2.0 * d)
     beta = -2.0 / d**2 - l * (l + n - 2) / r**2
     gamma = 1.0 / d**2 + c / (2.0 * d)
@@ -124,8 +104,8 @@ def _assemble(problem: FdProblem) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray
     vals = np.concatenate([main, alpha[1:], upper, [2.0 / d**2]])
     L = sp.csr_matrix((vals, (rows, cols)), shape=(m + 1, m))
 
-    w = r ** (n - 1) * np.exp(density.phi(r)) * d
-    w_wall = R ** (n - 1) * math.exp(float(density.phi(np.float64(R)))) * d / 2.0
+    w = r ** (n - 1) * np.exp(0.5 * s * np.square(r)) * d
+    w_wall = R ** (n - 1) * math.exp(0.5 * s * R * R) * d / 2.0
     return L, np.concatenate([w, [w_wall]]), w
 
 

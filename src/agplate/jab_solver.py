@@ -59,7 +59,9 @@ F(lambda_end) > 0 leaves an even number of roots there, hence none, and
 mu(A, B) > lambda_end^2, which is at least the lower endpoint's mu.
 split_minimum (what c_constant uses) therefore needs only the sign of F
 at lambda_end on each interior sample that passes the floor test, and
-solves only the samples that fail.  The certificate does not rely on the
+solves only the samples that fail.  It takes the R-ball's radial
+SpectralMode, which names n and R and carries lambda_1(R), so the ball
+and its root cannot disagree.  The certificate does not rely on the
 endpoint roots being right: a certified sample lies above whatever the
 endpoints returned.
 
@@ -109,6 +111,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball_spectrum import (
+    SpectralMode,
     _bracketed_root,
     _floors,
     lowest_dirichlet_root,
@@ -130,24 +133,23 @@ F_TOL = 2.0 * (8.0 * MANY_REL_ERROR + 28.0 * UNIT_ROUNDOFF)
 
 @dataclass(frozen=True)
 class JabSolution:
-    """Smallest positive characteristic root for one pair of radii.
-
-    lam is the root itself and mu = lam**2 exactly (stored redundantly).
-    """
+    """Smallest positive characteristic root lam for one pair of radii."""
 
     A: float
     B: float
     n: int
     lam: float
-    mu: float
 
     def __post_init__(self) -> None:
         if self.A < 0.0 or self.B < 0.0:
             raise ValueError("radii must be nonnegative")
         if not self.lam > 0.0:
             raise ValueError("root must be positive")
-        if self.mu != self.lam * self.lam:
-            raise ValueError("mu must equal lam squared exactly")
+
+    @property
+    def mu(self) -> float:
+        """The coupled eigenvalue, lam**2."""
+        return self.lam * self.lam
 
 
 @dataclass(frozen=True)
@@ -283,7 +285,7 @@ def solve_jab(n: int, A: float, B: float) -> JabSolution:
         lam = lowest_dirichlet_root(n, small)
     else:
         lam = _pair_root(n, small, large, f"n={n}, A={A!r}, B={B!r}")
-    return JabSolution(A=A, B=B, n=n, lam=lam, mu=lam * lam)
+    return JabSolution(A=A, B=B, n=n, lam=lam)
 
 
 def _pair_root(n: int, small: float, large: float, where: str) -> float:
@@ -362,11 +364,13 @@ def minimize_jab(n: int, R: float, grid_points: int = GRID_POINTS) -> MinJabReco
 
 
 def split_minimum(
-    n: int, R: float, lambda_1: float, grid_points: int = GRID_POINTS
+    mode: SpectralMode, grid_points: int = GRID_POINTS
 ) -> tuple[float, float, float]:
     """The minimizing (A, B, mu) of minimize_jab's grid, from its endpoints.
 
-    lambda_1 is the R-ball's lowest clamped root, the A = 0 sample's root.
+    mode is the radial (l = 0) mode of lowest_eigenvalue(n, 0, R), whose
+    ball is split; its root lambda_1 is the A = 0 sample's root and its
+    Lambda that sample's mu.  A mode of another degree raises ValueError.
     The equal split's root is mu_D1(A*) (solve_jab), and lambda_end is the
     smaller of the two.  Every interior sample of minimize_jab's grid is
     first tried against the certificate of the module docstring:
@@ -378,11 +382,14 @@ def split_minimum(
     the endpoints and the solved samples is picked by minimize_jab's rule,
     so the two agree on the minimizer.
     """
+    if mode.l != 0:
+        raise ValueError("the split minimum needs the radial (l = 0) mode")
+    n, R = mode.n, mode.R
     _check_split(n, R, grid_points)
     grid = _split_grid(n, R, grid_points)
     a_star = grid[-1][0]
     end = solve_jab(n, a_star, a_star)
-    lam_end = min(lambda_1, end.lam)
+    lam_end = min(mode.lam, end.lam)
     inner = grid[1:-1]
     tried = [
         i for i, (a, b) in enumerate(inner)
@@ -393,7 +400,7 @@ def split_minimum(
         A, B = np.array([inner[i] for i in tried]).T
         F = jab_condition(n, A, B, lam_end)
         certified = {i for i, value in zip(tried, F.tolist()) if value > 0.0}
-    samples = [(0.0, R, lambda_1 * lambda_1)]
+    samples = [(0.0, R, mode.Lambda)]
     for i, (a, b) in enumerate(inner):
         if i not in certified:
             samples.append((a, b, solve_jab(n, a, b).mu))

@@ -137,17 +137,20 @@ def test_lowest_eigenvalue_is_a_certified_root():
 
 def test_mode_invariants():
     mode = lowest_eigenvalue(3, 1, 0.9)
-    assert mode.l == 1
+    assert (mode.n, mode.l, mode.R) == (3, 1, 0.9)
     assert mode.lam > 0.0
     assert mode.Lambda == mode.lam * mode.lam
     assert math.isfinite(mode.G_R)
 
 
-def test_spectral_mode_rejects_inconsistent_fields():
+@pytest.mark.parametrize(
+    "n,l,R,lam",
+    [(1, 0, 1.0, 2.0), (2, -1, 1.0, 2.0), (2, 0, -1.0, 2.0),
+     (2, 0, math.nan, 2.0), (2, 0, 1.0, 0.0)],
+)
+def test_spectral_mode_rejects_invalid_fields(n, l, R, lam):
     with pytest.raises(ValueError):
-        SpectralMode(l=0, lam=2.0, Lambda=5.0, G_R=0.1)
-    with pytest.raises(ValueError):
-        SpectralMode(l=-1, lam=2.0, Lambda=4.0, G_R=0.1)
+        SpectralMode(n=n, l=l, R=R, lam=lam, G_R=0.1)
 
 
 def test_frozen_unit_ball_eigenvalues():
@@ -195,7 +198,7 @@ def test_curve_requires_increasing_radii():
 def test_profile_satisfies_clamped_boundary():
     n, R = 2, 1.0
     mode = lowest_eigenvalue(n, 0, R)
-    profile = eigenfunction_profile(mode, n, R, samples=2001)
+    profile = eigenfunction_profile(mode, samples=2001)
     y = np.asarray(profile.values)
     r = np.asarray(profile.radii)
     scale = float(np.max(np.abs(y)))
@@ -215,7 +218,7 @@ def test_profile_matches_the_pointwise_series(n, l, R):
     # the batched factors against eval_m at each sample: they differ by up
     # to 2e-13 of the largest value here, inside the tables' error bound
     mode = lowest_eigenvalue(n, l, R)
-    profile = eigenfunction_profile(mode, n, R, samples=64)
+    profile = eigenfunction_profile(mode, samples=64)
     b = 0.5 * n + l
     plus = KummerParams(0.5 * (l + mode.lam), b)
     minus = KummerParams(0.5 * (l - mode.lam), b)
@@ -231,7 +234,7 @@ def test_profile_matches_the_pointwise_series(n, l, R):
 def test_profile_vanishes_at_origin_for_positive_degree():
     n, R = 3, 0.8
     mode = lowest_eigenvalue(n, 1, R)
-    profile = eigenfunction_profile(mode, n, R, samples=401)
+    profile = eigenfunction_profile(mode, samples=401)
     assert profile.values[0] == 0.0
     scale = max(abs(v) for v in profile.values)
     assert abs(profile.values[-1]) <= 1e-8 * scale
@@ -400,4 +403,4 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         lowest_eigenvalue(2, 0, 0.5 * MIN_RADIUS)
     with pytest.raises(ValueError):
-        eigenfunction_profile(lowest_eigenvalue(2, 0, 1.0), 2, 1.0, samples=1)
+        eigenfunction_profile(lowest_eigenvalue(2, 0, 1.0), samples=1)

@@ -141,6 +141,23 @@ def test_minjab_profile_file_and_summary(capsys, tmp_path):
     assert len(text.strip().split("\n")) == 21
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["curve", "--n", "2", "--r-min", "0.5", "--r-max", "1", "--steps", "2"],
+         "--out"),
+        (["minjab", "--n", "2", "--R", "0.7"], "--profile"),
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(argv + [flag, str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("agplate:")
+    assert captured.out == ""
+    assert not missing.exists()
+
+
 def test_const_reports_all_fields(capsys):
     payload = run_json(
         capsys, ["const", "--n", "2", "--R", "1.0", "--grid-points", "32"]

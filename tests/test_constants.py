@@ -62,12 +62,13 @@ def test_returned_numbers_are_python_floats():
 
 
 def test_record_internal_consistency():
-    for n, R in [(2, 1.0), (2, 1.5), (3, 0.4)]:
+    # C is the ratio itself: a tie with the A = 0 sample gives J_min ==
+    # Lambda1 exactly and any other minimum lies strictly below it
+    for n, R in [(2, 1.0), (2, 1.5), (3, 0.4), (8, 6.0), (40, 7.0), (2, 1e-3)]:
         r = c_constant(n, R)
         assert r.Lambda1 == r.lambda1 * r.lambda1
         assert r.C_raw == r.J_min / r.Lambda1
-        assert r.C <= 1.0 + 1e-8
-        assert r.C == r.C_raw or (r.C == 1.0 and r.C_raw > 1.0)
+        assert r.C == r.C_raw <= 1.0, (n, R)
         assert r.status == STATUS_OK
 
 
@@ -96,10 +97,10 @@ def test_c_constant_shares_the_single_ball_root(n, R):
     ) as scan:
         record = c_constant(n, R)
     assert scan.call_count == 0
-    unhinted = minimize_jab(n, R)
-    assert record.A_min == unhinted.A_min
-    assert record.B_min == unhinted.B_min
-    assert record.J_min == pytest.approx(unhinted.J_min, rel=1e-10)
+    full = minimize_jab(n, R)
+    assert record.A_min == full.A_min
+    assert record.B_min == full.B_min
+    assert record.J_min == pytest.approx(full.J_min, rel=1e-10)
 
 
 # the example is a row with two interior samples that fail the endpoint
@@ -285,4 +286,5 @@ def test_default_grid_sweep_matches_frozen_data_at_exact_endpoints():
         assert (got.n, got.R) == (ref.n, ref.R)
         assert got.status == ref.status == STATUS_OK, (got.n, got.R)
         assert abs(got.C - ref.C) <= 1e-6 * max(1.0, abs(ref.C))
+        assert got.C == got.C_raw, (got.n, got.R)
         assert got.A_min == 0.0 or got.A_min == got.B_min, (got.n, got.R)

@@ -2,17 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from agplate.errors import NonConvergent
-from agplate.fd_oracle import (
-    ANTI_GAUSS,
-    UNWEIGHTED,
-    FdProblem,
-    RadialDensity,
-    fd_lowest_eigenvalue,
-)
+from agplate.fd_oracle import WEIGHTS, FdProblem, fd_lowest_eigenvalue
 from refvalues import FROZEN_DISK_EIGENVALUE, FROZEN_LAMBDA1
 
 
@@ -25,8 +18,8 @@ def test_observed_convergence_order():
 
 
 def test_unweighted_disk_matches_frozen_plate_constant():
-    coarse = fd_lowest_eigenvalue(FdProblem(2, 0, 1.0, 1000, density=UNWEIGHTED))
-    fine = fd_lowest_eigenvalue(FdProblem(2, 0, 1.0, 2000, density=UNWEIGHTED))
+    coarse = fd_lowest_eigenvalue(FdProblem(2, 0, 1.0, 1000, weight="none"))
+    fine = fd_lowest_eigenvalue(FdProblem(2, 0, 1.0, 2000, weight="none"))
     richardson = (4.0 * fine - coarse) / 3.0
     assert richardson == pytest.approx(FROZEN_DISK_EIGENVALUE, rel=1e-5)
 
@@ -34,8 +27,8 @@ def test_unweighted_disk_matches_frozen_plate_constant():
 def test_unweighted_scaling_in_radius():
     # with no drift the discrete operator at fixed mesh scales exactly as R^-4
     mesh = 400
-    one = fd_lowest_eigenvalue(FdProblem(3, 0, 1.0, mesh, density=UNWEIGHTED))
-    two = fd_lowest_eigenvalue(FdProblem(3, 0, 2.0, mesh, density=UNWEIGHTED))
+    one = fd_lowest_eigenvalue(FdProblem(3, 0, 1.0, mesh, weight="none"))
+    two = fd_lowest_eigenvalue(FdProblem(3, 0, 2.0, mesh, weight="none"))
     assert one / two == pytest.approx(16.0, rel=1e-8)
 
 
@@ -45,10 +38,12 @@ def test_weighted_spot_values():
         assert got == pytest.approx(expected, rel=1e-4), (n, l)
 
 
-def test_density_requires_vanishing_drift_at_origin():
-    with pytest.raises(ValueError):
-        RadialDensity(phi=lambda r: np.asarray(r), dphi=lambda r: np.ones_like(r))
-    assert ANTI_GAUSS.dphi(np.array(0.0)) == 0.0
+def test_weight_is_one_of_the_named_weights():
+    assert FdProblem(2, 0, 1.0, 200).weight == "antigauss"
+    for weight in WEIGHTS:
+        FdProblem(2, 0, 1.0, 200, weight=weight)
+    with pytest.raises(ValueError, match="antigauss, none"):
+        FdProblem(2, 0, 1.0, 200, weight="gauss")
 
 
 def test_problem_validation():

@@ -24,6 +24,7 @@ from agplate.jab_solver import (
     jab_condition,
     minimize_jab,
     solve_jab,
+    split_minimum,
 )
 from agplate.measure import complement_radius, half_mass_radius, phi_volume
 from closedform import bessel_zero, dirichlet_reference, plate_zero
@@ -126,7 +127,7 @@ def test_equal_split_of_a_tiny_ball_is_the_flat_dirichlet_root(n):
         assert solve_jab(n, X, X).lam == mu
 
 
-def test_warm_start_agrees_with_cold_start():
+def test_solve_brackets_its_root_without_a_scan():
     # no solve is warm-started any more: each brackets its own root on the
     # floors and mu_D1 of its radii, so none reaches the scan, and the root
     # is the one the cold scan found
@@ -138,7 +139,7 @@ def test_warm_start_agrees_with_cold_start():
     assert sol.lam == pytest.approx(29.7999191258, rel=1e-10)
 
 
-def test_hint_at_second_root_returns_lowest_root():
+def test_bracket_excludes_the_second_root():
     # the second root (near 67.219) lies above the bracket, which ends at
     # or below nu_2 = min(mu_D1(0.4), mu_D2(0.7)); the lowest root is returned
     second = brentq(
@@ -338,9 +339,9 @@ def test_solution_invariants():
     sol = solve_jab(2, 0.3, 0.8)
     assert sol.mu == sol.lam * sol.lam
     with pytest.raises(ValueError):
-        JabSolution(A=0.1, B=0.2, n=2, lam=2.0, mu=5.0)
+        JabSolution(A=0.1, B=0.2, n=2, lam=0.0)
     with pytest.raises(ValueError):
-        JabSolution(A=-0.1, B=0.2, n=2, lam=2.0, mu=4.0)
+        JabSolution(A=-0.1, B=0.2, n=2, lam=2.0)
 
 
 def test_minimum_profile_structure():
@@ -389,7 +390,7 @@ def test_default_grid_matches_fine_grid_at_an_exact_endpoint(n, R):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("R", [0.05, 1.0, 3.0])
-def test_minimize_hint_returns_the_unhinted_minimum(n, R):
+def test_minimize_profile_matches_separate_solves(n, R):
     # no sample of the profile scans cold, the A = 0 sample's root is the
     # R-ball's clamped root, every profile root is the one a separate solve
     # certifies, and so is the minimum picked from them
@@ -400,12 +401,12 @@ def test_minimize_hint_returns_the_unhinted_minimum(n, R):
     assert scan.call_count == 0
     lam1 = lowest_eigenvalue(n, 0, R).lam
     assert record.profile[0][2] == pytest.approx(lam1, rel=1e-10)
-    unhinted = [solve_jab(n, A, B) for A, B, _ in record.profile]
-    for (A, B, lam), cold in zip(record.profile, unhinted):
+    separate = [solve_jab(n, A, B) for A, B, _ in record.profile]
+    for (A, B, lam), cold in zip(record.profile, separate):
         assert lam == pytest.approx(cold.lam, rel=1e-10), (A, B)
-    lowest = min(s.mu for s in unhinted)
+    lowest = min(s.mu for s in separate)
     best = next(
-        s for s in unhinted
+        s for s in separate
         if s.mu - lowest <= jab_solver.ENDPOINT_TIE_REL * lowest
     )
     assert record.A_min == best.A
@@ -413,7 +414,7 @@ def test_minimize_hint_returns_the_unhinted_minimum(n, R):
     assert record.J_min == pytest.approx(best.mu, rel=1e-10)
 
 
-def test_minimize_below_min_radius_runs_cold_to_the_flat_limits():
+def test_minimize_below_min_radius_reaches_the_flat_limits():
     # lowest_eigenvalue stops at MIN_RADIUS, so the A = 0 sample there starts
     # cold; both endpoints sit at their flat-plate roots, k^2/R^2 and j^2/A*^2
     R = 5e-4
@@ -432,3 +433,8 @@ def test_minimize_validation():
         minimize_jab(2, 1.0, grid_points=8)
     with pytest.raises(ValueError):
         minimize_jab(1, 1.0)
+    with pytest.raises(ValueError):
+        split_minimum(lowest_eigenvalue(2, 0, 1.0), grid_points=8)
+    # the split minimum belongs to the radial mode
+    with pytest.raises(ValueError, match="l = 0"):
+        split_minimum(lowest_eigenvalue(2, 1, 1.0))
